@@ -20,7 +20,6 @@ from .core import (
     DoubleClickPolicy,
     MeasurementSettings,
     Outcome,
-    PulsePair,
     RunSummary,
     SettingPair,
     SettingTally,
@@ -38,7 +37,6 @@ from .detector import (
     click_probability,
     load_response_curve,
     read_response_csv,
-    sample_click,
 )
 from .engine import (
     BATCH_SIZE,
@@ -59,7 +57,7 @@ from .inequalities import (
     nsim_ndif_ratio,
     symmetric_e_for_s,
 )
-from .optics import AnalyzerResult, analyze, malus_split
+from .optics import malus_split, pulse_response
 from .strategies import (
     ExistingModelSpec,
     ImprovedModelSpec,
@@ -71,16 +69,11 @@ from .strategies import (
     TwoQubitState,
     bell_phi_plus,
     control_pulse_for,
-    existing_emit,
     feasible_intensity_window,
-    improved_emit,
-    perfect_emit,
     perfect_joint_distribution,
     perfect_no_signalling_discrepancy,
     quantum_correlation,
-    quantum_emit,
     quantum_joint_probabilities,
-    symmetrize,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ValidationError
+from .core import ValidationError, check_unit_interval
 from .inequalities import ChshCombination, gm_bound
 
 __all__ = [
@@ -40,12 +40,10 @@ class Prediction:
     coincidence_prob: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValidationError(f"eta must lie in [0, 1], got {self.eta!r}")
+        check_unit_interval("eta", self.eta)
         if not (-4.0 <= self.s <= 4.0):
             raise ValidationError(f"s must lie in [-4, 4], got {self.s!r}")
-        if not (0.0 <= self.coincidence_prob <= 1.0):
-            raise ValidationError(f"coincidence_prob must lie in [0, 1], got {self.coincidence_prob!r}")
+        check_unit_interval("coincidence_prob", self.coincidence_prob)
 
 
 def _chsh_pattern(e: float) -> ChshCombination:
@@ -58,15 +56,23 @@ def improved_predict(p2: float) -> Prediction:
 
     The mixture's coincidence probability is the weighted mean of the pure
     methods' squared efficiencies, and its CHSH value is the
-    coincidence-weighted mean of their CHSH values.
+    coincidence-weighted mean of their CHSH values. Both methods are
+    perfectly correlated on three settings; on the subtracted one forcing
+    gives -1 and the midpoint pulses +1, so there the correlation is
+    ``(p2 - p1/4) / (p2 + p1/4)`` with ``p1 = 1 - p2``.
     """
-    if not (math.isfinite(p2) and 0.0 <= p2 <= 1.0):
-        raise ValidationError(f"p2 must lie in [0, 1], got {p2!r}")
+    check_unit_interval("p2", p2)
     p1 = 1.0 - p2
     coincidence = p1 * METHOD1_ETA**2 + p2 * METHOD2_ETA**2
     eta = math.sqrt(coincidence)
     s = (p1 * METHOD1_S * METHOD1_ETA**2 + p2 * METHOD2_S * METHOD2_ETA**2) / coincidence
-    return Prediction(eta=eta, s=s, e_per_setting=_chsh_pattern(s / 4.0), coincidence_prob=coincidence)
+    e01 = (p2 * METHOD2_ETA**2 - p1 * METHOD1_ETA**2) / coincidence
+    return Prediction(
+        eta=eta,
+        s=s,
+        e_per_setting=ChshCombination(e00=1.0, e10=1.0, e11=1.0, e01=e01),
+        coincidence_prob=coincidence,
+    )
 
 
 def perfect_predict(a: float, b: float) -> Prediction:
@@ -76,9 +82,8 @@ def perfect_predict(a: float, b: float) -> Prediction:
     match, ``b`` of a random conclusive outcome on mismatch, at the
     controlled party.
     """
-    for name, value in (("a", a), ("b", b)):
-        if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-            raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+    check_unit_interval("a", a)
+    check_unit_interval("b", b)
     if a + b == 0.0:
         raise ValidationError("a and b cannot both be zero (no coincidences ever)")
     e = a / (a + b)
@@ -108,8 +113,7 @@ def ab_from_eta(eta: float) -> tuple[float, float, float]:
 
 def existing_predict(e_target: float) -> Prediction:
     """Prediction for the deterministic-forcing model at correlation ``e_target``."""
-    if not (math.isfinite(e_target) and 0.0 <= e_target <= 1.0):
-        raise ValidationError(f"e_target must lie in [0, 1], got {e_target!r}")
+    check_unit_interval("e_target", e_target)
     return Prediction(
         eta=METHOD1_ETA,
         s=4.0 * e_target,

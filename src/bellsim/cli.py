@@ -40,8 +40,9 @@ from .strategies import (
     StrategySpec,
     ControlRow,
     bell_phi_plus,
-    feasible_intensity_window,
+    control_pulse_for,
     control_row_probabilities,
+    feasible_intensity_window,
 )
 
 __all__ = ["main", "ConfigError", "load_config", "build_run_config", "write_summary_csv"]
@@ -388,19 +389,11 @@ def cmd_check_feasibility(args: argparse.Namespace) -> int:
                     lo, hi = window
                     window_text = f"[{lo:.6g}, {hi:.6g})"
                     intensity_text = f"{(lo + hi) / 2.0:.6g}"
-                    pol0 = str(_row_polarization(row, angle0, angle1))
-                    pol1 = str(_row_polarization(row, angle1, angle0))
+                    pol0 = str(control_pulse_for(row, a, b, (angle0, angle1))[0])
+                    pol1 = str(control_pulse_for(row, a, b, (angle1, angle0))[0])
             print(f"  {row.value:<15}{prob:<13.6g}{window_text:<22}{intensity_text:<11}"
                   f"{pol0:<20}{pol1}")
     return 0
-
-
-def _row_polarization(row: ControlRow, base, other):
-    if row is ControlRow.PLAIN_ALIGNED:
-        return base
-    if row is ControlRow.MIDPOINT_UP:
-        return base.midpoint_toward(other)
-    return base.midpoint_toward(other.perpendicular())
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .detector import DetectorModel
 
 __all__ = [
     "ValidationError",
@@ -30,10 +33,10 @@ __all__ = [
     "CHSH_ORDER",
     "Outcome",
     "DoubleClickPolicy",
-    "PulsePair",
     "SettingTally",
     "CoincidenceCounts",
     "RunSummary",
+    "check_unit_interval",
 ]
 
 
@@ -154,14 +157,6 @@ class Outcome(Enum):
     def conclusive(self) -> bool:
         return self in (Outcome.PLUS, Outcome.MINUS)
 
-    def flipped(self) -> "Outcome":
-        """Swap + and -; inconclusive and double outcomes are unchanged."""
-        if self is Outcome.PLUS:
-            return Outcome.MINUS
-        if self is Outcome.MINUS:
-            return Outcome.PLUS
-        return self
-
 
 class DoubleClickPolicy(Enum):
     """How the analyzer reports a trial where both of its detectors fired.
@@ -174,30 +169,6 @@ class DoubleClickPolicy(Enum):
     DISCARD = "discard"
     RANDOMIZE = "randomize"
     FLAG = "flag"
-
-
-@dataclass(frozen=True, slots=True)
-class PulsePair:
-    """One trial's emission from the source: a pulse toward each party.
-
-    A ``None`` polarization means vacuum and must come with zero intensity
-    (and vice versa). Intensities are in threshold units.
-    """
-
-    alice_pol: Angle | None
-    alice_intensity: float
-    bob_pol: Angle | None
-    bob_intensity: float
-
-    def __post_init__(self) -> None:
-        for name, pol, intensity in (
-            ("alice", self.alice_pol, self.alice_intensity),
-            ("bob", self.bob_pol, self.bob_intensity),
-        ):
-            if not (math.isfinite(intensity) and intensity >= 0.0):
-                raise ValidationError(f"{name} intensity must be finite and >= 0, got {intensity!r}")
-            if (pol is None) != (intensity == 0.0):
-                raise ValidationError(f"{name} pulse must be vacuum exactly when its intensity is 0")
 
 
 def _check_count(name: str, value: int) -> int:
@@ -305,7 +276,8 @@ class CoincidenceCounts:
         return sum(t.n_double_events for t in self.per_setting.values())
 
 
-def _check_unit_interval(name: str, value: float) -> float:
+def check_unit_interval(name: str, value: float) -> float:
+    """``value`` as a float, or :class:`ValidationError` unless it is finite and in [0, 1]."""
     if not (math.isfinite(value) and 0.0 <= value <= 1.0):
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)
@@ -318,7 +290,8 @@ class RunSummary:
     ``joint_counts`` keeps the full per-setting outcome-by-outcome tables
     (rows: Alice +, -, ?, D; columns: Bob likewise) for diagnostics such
     as the no-signalling check. ``seed`` is ``None`` for merged summaries
-    whose inputs used different seeds.
+    whose inputs used different seeds. ``detector_model`` is the detector
+    the counts were measured with; runs merge only on the same one.
     """
 
     counts: CoincidenceCounts
@@ -335,6 +308,7 @@ class RunSummary:
     settings: MeasurementSettings
     double_click_policy: DoubleClickPolicy
     joint_counts: Mapping[SettingPair, np.ndarray]
+    detector_model: DetectorModel
 
     def __post_init__(self) -> None:
         for pair, e in self.correlations.items():
@@ -342,9 +316,9 @@ class RunSummary:
                 raise ValidationError(f"correlation for {pair.label} out of range: {e!r}")
         if not (math.isfinite(self.s_value) and -4.0 <= self.s_value <= 4.0):
             raise ValidationError(f"s_value out of range: {self.s_value!r}")
-        _check_unit_interval("eta_alice", self.eta_alice)
-        _check_unit_interval("eta_bob", self.eta_bob)
-        _check_unit_interval("eta_symmetric", self.eta_symmetric)
+        check_unit_interval("eta_alice", self.eta_alice)
+        check_unit_interval("eta_bob", self.eta_bob)
+        check_unit_interval("eta_symmetric", self.eta_symmetric)
         object.__setattr__(self, "correlations", dict(self.correlations))
         object.__setattr__(self, "joint_counts", dict(self.joint_counts))
 

@@ -31,7 +31,6 @@ __all__ = [
     "Empirical",
     "DetectorModel",
     "click_probability",
-    "sample_click",
     "load_response_curve",
     "read_response_csv",
     "bundled_response_curve",
@@ -171,18 +170,6 @@ def click_probability(model: DetectorModel, intensity):
     if arr.ndim == 0:
         return float(out)
     return out
-
-
-def sample_click(model: DetectorModel, intensity, rng: np.random.Generator):
-    """Bernoulli sample of :func:`click_probability`.
-
-    Scalar intensity gives a bool; an array gives a bool array drawn from a
-    single batch of uniforms (one per element, in order).
-    """
-    p = click_probability(model, intensity)
-    if np.isscalar(p):
-        return bool(rng.random() < p)
-    return rng.random(p.shape[0]) < p
 
 
 def load_response_curve(rows: Iterable[Sequence[float]]) -> Empirical:

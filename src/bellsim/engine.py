@@ -1,9 +1,11 @@
 """Monte Carlo trial loop with counter-based per-batch random streams.
 
-The trial index space is cut into fixed-size batches. Each batch draws
-from its own Philox stream keyed by (seed, batch index), so a run's
-counts are a pure function of the configuration and seed: thread count
-and scheduling order cannot change a single bit of the result.
+A run compiles its strategy to the exact outcome table once, then cuts
+the trial index space into fixed-size batches. Each batch draws its
+counts from that table, one multinomial per trial-parity phase, from its
+own Philox stream keyed by (seed, batch index), so a run's counts are a
+pure function of the configuration and seed: thread count and scheduling
+order cannot change a single bit of the result.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ __all__ = [
 #: Trials per batch; fixed so the batch partition depends only on n_trials.
 BATCH_SIZE = 1 << 16
 
-_SEED_MASK = (1 << 64) - 1
+#: Seeds are the 64-bit entropy of each batch's stream: [0, 2**64).
+_SEED_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,16 +63,27 @@ class RunConfig:
             raise ValidationError(f"n_trials must be a positive integer, got {self.n_trials!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed!r}")
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    sequence = np.random.SeedSequence(entropy=seed & _SEED_MASK, spawn_key=(batch_index,))
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
     return np.random.Generator(np.random.Philox(sequence))
 
 
+def _cell_probabilities(table: np.ndarray) -> np.ndarray:
+    """Per phase, the probabilities of the 256 (setting, Alice, Bob) cells.
+
+    Each setting pair is drawn with probability 1/4. Renormalized because
+    ``multinomial`` rejects probabilities that sum to just above 1.
+    """
+    cells = 0.25 * table.reshape(len(table), -1)
+    return cells / cells.sum(axis=1, keepdims=True)
+
+
 def _run_batch(
-    strategy,
-    stations: StationConfig,
+    cells: np.ndarray,
     seed: int,
     batch_index: int,
     start: int,
@@ -77,21 +91,20 @@ def _run_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One batch of trials; returns (joint outcome counts, double-trial counts).
 
-    The stream is consumed in a fixed order: source emission first (the
-    source cannot see settings), then the two setting draws, then the
-    measurement randomness.
+    Phase ``p`` of ``cells`` covers the trials whose index is ``p`` modulo
+    the number of phases; each phase's counts are one multinomial draw
+    from the batch's stream.
     """
     rng = _batch_rng(seed, batch_index)
-    plan = strategy.emit_batch(size, start, rng)
-    a_set = rng.integers(0, 2, size=size, dtype=np.int8)
-    b_set = rng.integers(0, 2, size=size, dtype=np.int8)
-    out = strategy.resolve_batch(plan, a_set, b_set, stations, rng)
-
-    sidx = (a_set.astype(np.int64) << 1) | b_set
-    codes = (sidx * 4 + out.alice) * 4 + out.bob
-    joint = np.bincount(codes, minlength=64).reshape(4, 4, 4)
-    doubled = out.alice_double | out.bob_double
-    doubles = np.bincount(sidx[doubled], minlength=4)
+    phases = len(cells)
+    counts = sum(
+        rng.multinomial(len(range(start + (p - start) % phases, start + size, phases)), cells[p])
+        for p in range(phases)
+    )
+    # Axes: setting, Alice double, Alice code, Bob double, Bob code.
+    counts = counts.reshape(4, 2, 4, 2, 4)
+    joint = counts.sum(axis=(1, 3))
+    doubles = joint.sum(axis=(1, 2)) - counts[:, 0, :, 0, :].sum(axis=(1, 2))
     return joint, doubles
 
 
@@ -118,6 +131,7 @@ def _summarize(
     doubles: Mapping[SettingPair, int],
     settings: MeasurementSettings,
     policy: DoubleClickPolicy,
+    detector: DetectorModel,
     seed: int | None,
     strategy_label: str,
 ) -> RunSummary:
@@ -165,6 +179,7 @@ def _summarize(
         settings=settings,
         double_click_policy=policy,
         joint_counts={pair: joint[pair].copy() for pair in SettingPair},
+        detector_model=detector,
     )
 
 
@@ -180,6 +195,7 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
     stations = StationConfig.from_settings(
         config.settings, config.detector_model, config.double_click_policy
     )
+    cells = _cell_probabilities(strategy.joint_table(stations))
     spans = []
     start = 0
     while start < config.n_trials:
@@ -188,7 +204,7 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
         start += size
 
     def job(span: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        return _run_batch(strategy, stations, config.seed, *span)
+        return _run_batch(cells, config.seed, *span)
 
     if workers == 1 or len(spans) == 1:
         parts = [job(span) for span in spans]
@@ -210,7 +226,7 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
     }
     return _summarize(
         joint_by_pair, doubles_by_pair, config.settings,
-        config.double_click_policy, config.seed, strategy.label,
+        config.double_click_policy, config.detector_model, config.seed, strategy.label,
     )
 
 
@@ -232,6 +248,11 @@ def merge(summaries: Sequence[RunSummary]) -> RunSummary:
             raise ValidationError("cannot merge runs with different measurement settings")
         if other.double_click_policy is not first.double_click_policy:
             raise ValidationError("cannot merge runs with different double-click policies")
+        if other.detector_model != first.detector_model:
+            raise ValidationError(
+                f"cannot merge runs with different detectors: {other.detector_model!r} "
+                f"vs {first.detector_model!r}"
+            )
     joint = {
         pair: sum(s.joint_counts[pair] for s in summaries)
         for pair in SettingPair
@@ -244,7 +265,7 @@ def merge(summaries: Sequence[RunSummary]) -> RunSummary:
     seed = seeds.pop() if len(seeds) == 1 else None
     return _summarize(
         joint, doubles, first.settings, first.double_click_policy,
-        seed, first.strategy_label,
+        first.detector_model, seed, first.strategy_label,
     )
 
 

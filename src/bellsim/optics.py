@@ -5,11 +5,16 @@ into a single effective analyzer angle. Incoming light splits between the
 transmitted and reflected ports by Malus's law; each port's detector then
 fires (or not) according to its click-probability model. The transmitted
 port carries the "+" outcome, the reflected port "-".
+
+A party's result is one of ``N_STATES`` states, indexed
+``code + 4 * double``: ``code`` is the reported outcome (``OUT_PLUS``,
+``OUT_MINUS``, ``OUT_INCONCLUSIVE`` or ``OUT_DOUBLE``) and ``double`` says
+whether both of that party's detectors fired, which the double-click
+policy may have folded into a regular outcome.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,24 +22,30 @@ from .core import Angle, DoubleClickPolicy, Outcome, ValidationError
 from .detector import DetectorModel, click_probability
 
 __all__ = [
-    "DoubleClickPolicy",
-    "AnalyzerResult",
     "malus_split",
-    "analyze",
-    "analyze_batch",
+    "pulse_response",
     "OUT_PLUS",
     "OUT_MINUS",
     "OUT_INCONCLUSIVE",
     "OUT_DOUBLE",
+    "N_STATES",
     "OUTCOME_BY_CODE",
 ]
 
-# Compact outcome codes used by the vectorized paths.
 OUT_PLUS = 0
 OUT_MINUS = 1
 OUT_INCONCLUSIVE = 2
 OUT_DOUBLE = 3
+N_STATES = 8
 OUTCOME_BY_CODE = (Outcome.PLUS, Outcome.MINUS, Outcome.INCONCLUSIVE, Outcome.DOUBLE)
+
+# Where a double click lands under each policy: RANDOMIZE splits it evenly
+# between "+" and "-", DISCARD reports it inconclusive, FLAG as DOUBLE.
+_DOUBLE_STATES = {
+    DoubleClickPolicy.RANDOMIZE: (4 + OUT_PLUS, 4 + OUT_MINUS),
+    DoubleClickPolicy.DISCARD: (4 + OUT_INCONCLUSIVE,),
+    DoubleClickPolicy.FLAG: (4 + OUT_DOUBLE,),
+}
 
 
 def malus_split(incoming_pol: Angle, analyzer_angle: Angle, intensity: float) -> tuple[float, float]:
@@ -50,77 +61,29 @@ def malus_split(incoming_pol: Angle, analyzer_angle: Angle, intensity: float) ->
     return intensity * math.cos(delta) ** 2, intensity * math.sin(delta) ** 2
 
 
-class AnalyzerResult(NamedTuple):
-    outcome: Outcome
-    double_click: bool
-
-
-def analyze_batch(
-    pol_deg: np.ndarray,
-    intensity: np.ndarray,
-    analyzer_deg: np.ndarray,
-    detector_plus: DetectorModel,
-    detector_minus: DetectorModel,
+def pulse_response(
+    pol_deg,
+    intensity,
+    analyzer_deg,
+    detector: DetectorModel,
     policy: DoubleClickPolicy,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized analyzer for one party over a batch of trials.
+) -> np.ndarray:
+    """Exact distribution of one party's state for a pulse and an analyzer.
 
-    Vacuum trials are encoded as zero intensity (their polarization entry
-    is ignored). Consumes uniforms in a fixed order: one per trial for the
-    "+" port, one per trial for the "-" port, plus one per trial when the
-    policy is RANDOMIZE. Returns (outcome codes, double-click mask).
+    The three inputs broadcast against each other; the result has their
+    broadcast shape plus a trailing axis of ``N_STATES`` probabilities.
+    Vacuum is zero intensity (its polarization is then irrelevant). The
+    two ports' detectors fire independently.
     """
-    delta = np.radians(pol_deg - analyzer_deg)
-    i_transmit = intensity * np.cos(delta) ** 2
-    i_reflect = intensity * np.sin(delta) ** 2
-    n = len(i_transmit)
-    click_plus = rng.random(n) < click_probability(detector_plus, i_transmit)
-    click_minus = rng.random(n) < click_probability(detector_minus, i_reflect)
-
-    codes = np.full(n, OUT_INCONCLUSIVE, dtype=np.int8)
-    codes[click_plus & ~click_minus] = OUT_PLUS
-    codes[click_minus & ~click_plus] = OUT_MINUS
-    both = click_plus & click_minus
-    if policy is DoubleClickPolicy.RANDOMIZE:
-        heads = rng.random(n) < 0.5
-        codes[both & heads] = OUT_PLUS
-        codes[both & ~heads] = OUT_MINUS
-    elif policy is DoubleClickPolicy.FLAG:
-        codes[both] = OUT_DOUBLE
-    # DISCARD leaves the trial inconclusive; the mask records it happened.
-    return codes, both
-
-
-def analyze(
-    pulse_pol: Angle | None,
-    pulse_intensity: float,
-    basis_angle: Angle,
-    detector_plus: DetectorModel,
-    detector_minus: DetectorModel,
-    policy: DoubleClickPolicy,
-    rng: np.random.Generator,
-) -> AnalyzerResult:
-    """Measure a single pulse and report the party's outcome.
-
-    ``pulse_pol=None`` (vacuum) requires zero intensity and can never click
-    under models with zero response at zero input.
-    """
-    if pulse_pol is None:
-        if pulse_intensity != 0.0:
-            raise ValidationError("vacuum pulse must have zero intensity")
-        pol = 0.0
-    else:
-        pol = pulse_pol.degrees
-    if not (math.isfinite(pulse_intensity) and pulse_intensity >= 0.0):
-        raise ValidationError(f"intensity must be finite and >= 0, got {pulse_intensity!r}")
-    codes, both = analyze_batch(
-        np.array([pol]),
-        np.array([float(pulse_intensity)]),
-        np.array([basis_angle.degrees]),
-        detector_plus,
-        detector_minus,
-        policy,
-        rng,
-    )
-    return AnalyzerResult(OUTCOME_BY_CODE[int(codes[0])], bool(both[0]))
+    delta = np.radians(np.asarray(pol_deg, dtype=float) - np.asarray(analyzer_deg, dtype=float))
+    intensity = np.asarray(intensity, dtype=float)
+    p_plus = np.asarray(click_probability(detector, intensity * np.cos(delta) ** 2))
+    p_minus = np.asarray(click_probability(detector, intensity * np.sin(delta) ** 2))
+    out = np.zeros(np.broadcast(p_plus, p_minus).shape + (N_STATES,))
+    out[..., OUT_PLUS] = p_plus * (1.0 - p_minus)
+    out[..., OUT_MINUS] = p_minus * (1.0 - p_plus)
+    out[..., OUT_INCONCLUSIVE] = (1.0 - p_plus) * (1.0 - p_minus)
+    states = _DOUBLE_STATES[policy]
+    for state in states:
+        out[..., state] = p_plus * p_minus / len(states)
+    return out

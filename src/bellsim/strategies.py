@@ -1,22 +1,21 @@
 """Adversarial source strategies and the honest entangled-pair baseline.
 
-Each strategy decides, per trial and before the parties pick their bases,
-what goes down the two channels: a classical pulse pair for the faking
-models, or (for the honest baseline) one half of an entangled state. The
-locality structure is enforced by the split between ``emit_batch`` (no
-access to settings) and ``resolve_batch`` (settings known, outcomes
-produced).
+Every strategy here is a finite mixture, so each compiles to an exact
+outcome table. ``joint_table(stations)`` returns an array of shape
+``(phases, 4, 8, 8)``: for each trial-parity phase and each setting pair
+(index ``2 * alice + bob``), the joint probabilities of the two parties'
+states in the encoding of :mod:`bellsim.optics`. The engine draws its
+counts from that table.
 
-Batch methods operate on arrays and are what the engine runs; the scalar
-operations exported here are thin single-trial wrappers over the same
-code paths.
+The local strategies state their locality structure once, in
+:func:`_local_table`: the emission weights cannot see the settings, and
+each party's response depends only on the emission and its own basis.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,18 +24,11 @@ from .core import (
     DoubleClickPolicy,
     MeasurementSettings,
     Outcome,
-    PulsePair,
-    SettingPair,
     ValidationError,
+    check_unit_interval,
 )
 from .detector import DetectorModel, StepThreshold
-from .optics import (
-    OUT_INCONCLUSIVE,
-    OUT_MINUS,
-    OUT_PLUS,
-    OUTCOME_BY_CODE,
-    analyze_batch,
-)
+from .optics import N_STATES, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS, pulse_response
 
 __all__ = [
     "InfeasibleGeometry",
@@ -46,7 +38,6 @@ __all__ = [
     "PerfectModelSpec",
     "QuantumSpec",
     "StationConfig",
-    "BatchOutcomes",
     "ControlRow",
     "CONTROL_ROWS",
     "control_row_probabilities",
@@ -58,31 +49,17 @@ __all__ = [
     "PerfectStrategy",
     "QuantumStrategy",
     "build_strategy",
-    "existing_emit",
-    "ImprovedEmission",
-    "improved_emit",
-    "symmetrize",
-    "perfect_emit",
-    "PerfectTrialPlan",
     "perfect_joint_distribution",
     "perfect_no_signalling_discrepancy",
     "TwoQubitState",
     "bell_phi_plus",
     "quantum_joint_probabilities",
     "quantum_correlation",
-    "quantum_emit",
-    "QuantumTrialPlan",
 ]
 
 
 class InfeasibleGeometry(ValidationError):
     """No pulse intensity satisfies a control row's constraints for these angles."""
-
-
-def _check_unit(name: str, value: float) -> float:
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +79,7 @@ class ExistingModelSpec:
     e_target: float
 
     def __post_init__(self) -> None:
-        _check_unit("e_target", self.e_target)
+        check_unit_interval("e_target", self.e_target)
 
     @property
     def n_sim(self) -> float:
@@ -111,6 +88,11 @@ class ExistingModelSpec:
     @property
     def n_dif(self) -> float:
         return (1.0 - self.e_target) / 4.0
+
+
+def _min_trigger_intensity(phi_a: float, phi_b: float) -> float:
+    """Lowest trigger that fires the aligned detector from ``max(phi)`` off axis."""
+    return 1.0 / math.cos(math.radians(max(phi_a, phi_b))) ** 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +111,7 @@ class ImprovedModelSpec:
     trigger_intensity: float
 
     def __post_init__(self) -> None:
-        _check_unit("p2", self.p2)
+        check_unit_interval("p2", self.p2)
         for name, phi in (("phi_a", self.phi_a), ("phi_b", self.phi_b)):
             if not (math.isfinite(phi) and 0.0 <= phi < 45.0):
                 raise InfeasibleGeometry(
@@ -143,8 +125,7 @@ class ImprovedModelSpec:
 
     @property
     def min_trigger_intensity(self) -> float:
-        phi = math.radians(max(self.phi_a, self.phi_b))
-        return 1.0 / math.cos(phi) ** 2
+        return _min_trigger_intensity(self.phi_a, self.phi_b)
 
     @classmethod
     def for_settings(
@@ -167,17 +148,16 @@ class ImprovedModelSpec:
                     "drive a single detector"
                 )
         if trigger_intensity is None:
-            lo = 1.0 / math.cos(math.radians(max(phi_a, phi_b))) ** 2
-            trigger_intensity = (lo + 2.0) / 2.0
+            trigger_intensity = (_min_trigger_intensity(phi_a, phi_b) + 2.0) / 2.0
         return cls(p2=p2, phi_a=phi_a, phi_b=phi_b, trigger_intensity=trigger_intensity)
 
 
 class PerfectMode(Enum):
     """How the perfect model produces outcomes.
 
-    ANALYTIC_TABLE samples the joint outcome table directly from a
-    per-trial hidden variable; PHYSICAL_PULSES drives the controlled side
-    with actual pulses through the analyzer and detector models.
+    ANALYTIC_TABLE takes the controlled party's outcome distribution
+    straight from (a, b); PHYSICAL_PULSES derives it from actual control
+    pulses through the analyzer and detector models.
     """
 
     ANALYTIC_TABLE = "analytic"
@@ -196,8 +176,8 @@ class PerfectModelSpec:
     role_reversal: bool = True
 
     def __post_init__(self) -> None:
-        _check_unit("a", self.a)
-        _check_unit("b", self.b)
+        check_unit_interval("a", self.a)
+        check_unit_interval("b", self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,19 +188,12 @@ class QuantumSpec:
     eta_true: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_unit("eta_true", self.eta_true)
+        check_unit_interval("eta_true", self.eta_true)
 
 
 # ---------------------------------------------------------------------------
-# Shared batch plumbing
+# Shared table plumbing
 # ---------------------------------------------------------------------------
-
-
-class BatchOutcomes(NamedTuple):
-    alice: np.ndarray
-    bob: np.ndarray
-    alice_double: np.ndarray
-    bob_double: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -246,28 +219,27 @@ class StationConfig:
             policy=policy,
         )
 
-    def alice_angles(self, a_set: np.ndarray) -> np.ndarray:
-        return np.where(a_set == 1, self.alice_deg[1], self.alice_deg[0])
-
-    def bob_angles(self, b_set: np.ndarray) -> np.ndarray:
-        return np.where(b_set == 1, self.bob_deg[1], self.bob_deg[0])
-
-
-def _categorical(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``n`` indices from a cumulative distribution (last entry 1.0)."""
-    return np.searchsorted(cum, rng.random(n), side="right").astype(np.int8)
+    def response(self, pol_deg, intensity, alice: bool) -> np.ndarray:
+        """State distributions of pulses at one party's two bases: shape + (2, 8)."""
+        analyzer = self.alice_deg if alice else self.bob_deg
+        return pulse_response(
+            np.asarray(pol_deg)[..., None], np.asarray(intensity)[..., None], analyzer,
+            self.detector, self.policy,
+        )
 
 
-def _cumulative(weights) -> np.ndarray:
-    cum = np.cumsum(np.asarray(weights, dtype=float))
-    cum[-1] = 1.0
-    return cum
+def _local_table(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Joint table (4 settings, 8, 8) of a local mixture.
+
+    ``w`` (E,) weighs the emissions and cannot depend on the settings;
+    ``alice`` and ``bob`` (E, 2 bases, 8) give each party's state
+    distribution from the emission and its own basis alone.
+    """
+    return np.einsum("e,eak,ebl->abkl", w, alice, bob).reshape(4, N_STATES, N_STATES)
 
 
-def _flip_signs(codes: np.ndarray, where: np.ndarray) -> None:
-    """Swap +/- codes in place on the selected trials; others untouched."""
-    swap = where & (codes <= OUT_MINUS)
-    codes[swap] ^= 1
+#: Swaps "+" and "-" and keeps whether both detectors fired.
+_SWAP_SIGNS = np.array([1, 0, 2, 3, 5, 4, 6, 7])
 
 
 # ---------------------------------------------------------------------------
@@ -308,58 +280,25 @@ class ExistingStrategy:
     def __init__(self, spec: ExistingModelSpec, settings: MeasurementSettings):
         self.spec = spec
         self.settings = settings
-        cells = source_polarization_cells(settings)
-        self.cells = cells
-        self._pol_a = np.array([c[0].degrees for c in cells])
-        self._pol_b = np.array([c[1].degrees for c in cells])
-        weights = [spec.n_sim / 4.0 if sim else spec.n_dif / 4.0 for _, _, sim in cells]
-        self._cum = _cumulative(weights)
+        self.cells = source_polarization_cells(settings)
+        self.weights = np.array(
+            [spec.n_sim / 4.0 if sim else spec.n_dif / 4.0 for _, _, sim in self.cells]
+        )
         self.label = f"existing(e_target={spec.e_target:.12g})"
 
-    def emit_batch(self, n: int, start: int, rng: np.random.Generator) -> np.ndarray:
-        return _categorical(self._cum, n, rng)
+    def responses(self, stations: StationConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Each party's state distribution per cell and basis, (16, 2, 8) each."""
+        pol_a = [pa.degrees for pa, _, _ in self.cells]
+        pol_b = [pb.degrees for _, pb, _ in self.cells]
+        return stations.response(pol_a, 1.0, alice=True), stations.response(pol_b, 1.0, alice=False)
 
-    def pulse_for_cell(self, idx: int) -> PulsePair:
-        pa, pb, _ = self.cells[idx]
-        return PulsePair(pa, 1.0, pb, 1.0)
-
-    def resolve_batch(
-        self,
-        plan: np.ndarray,
-        a_set: np.ndarray,
-        b_set: np.ndarray,
-        stations: StationConfig,
-        rng: np.random.Generator,
-    ) -> BatchOutcomes:
-        n = len(plan)
-        ones = np.ones(n)
-        out_a, dbl_a = analyze_batch(
-            self._pol_a[plan], ones, stations.alice_angles(a_set),
-            stations.detector, stations.detector, stations.policy, rng,
-        )
-        out_b, dbl_b = analyze_batch(
-            self._pol_b[plan], ones, stations.bob_angles(b_set),
-            stations.detector, stations.detector, stations.policy, rng,
-        )
-        return BatchOutcomes(out_a, out_b, dbl_a, dbl_b)
-
-
-def existing_emit(
-    spec: ExistingModelSpec, settings: MeasurementSettings, rng: np.random.Generator
-) -> PulsePair:
-    """Draw one source emission of the deterministic-forcing model."""
-    strategy = ExistingStrategy(spec, settings)
-    return strategy.pulse_for_cell(int(strategy.emit_batch(1, 0, rng)[0]))
+    def joint_table(self, stations: StationConfig) -> np.ndarray:
+        return _local_table(self.weights, *self.responses(stations))[None]
 
 
 # ---------------------------------------------------------------------------
 # Improved model: probabilistic mixture with midpoint pulses
 # ---------------------------------------------------------------------------
-
-
-class ImprovedBatch(NamedTuple):
-    method2: np.ndarray
-    cell: np.ndarray
 
 
 class ImprovedStrategy:
@@ -375,70 +314,18 @@ class ImprovedStrategy:
             f"improved(p2={spec.p2:.12g}, trigger={spec.trigger_intensity:.12g})"
         )
 
-    def emit_batch(self, n: int, start: int, rng: np.random.Generator) -> ImprovedBatch:
-        method2 = rng.random(n) < self.spec.p2
-        cell = self._method1.emit_batch(n, start, rng)
-        return ImprovedBatch(method2, cell)
-
-    def pulse_pair(self, emission: "ImprovedBatch", idx: int = 0) -> PulsePair:
-        if emission.method2[idx]:
-            i = self.spec.trigger_intensity
-            return PulsePair(Angle(self._mid_a), i, Angle(self._mid_b), i)
-        return self._method1.pulse_for_cell(int(emission.cell[idx]))
-
-    def resolve_batch(
-        self,
-        plan: ImprovedBatch,
-        a_set: np.ndarray,
-        b_set: np.ndarray,
-        stations: StationConfig,
-        rng: np.random.Generator,
-    ) -> BatchOutcomes:
-        pol_a = np.where(plan.method2, self._mid_a, self._method1._pol_a[plan.cell])
-        pol_b = np.where(plan.method2, self._mid_b, self._method1._pol_b[plan.cell])
-        intensity = np.where(plan.method2, self.spec.trigger_intensity, 1.0)
-        out_a, dbl_a = analyze_batch(
-            pol_a, intensity, stations.alice_angles(a_set),
-            stations.detector, stations.detector, stations.policy, rng,
-        )
-        out_b, dbl_b = analyze_batch(
-            pol_b, intensity, stations.bob_angles(b_set),
-            stations.detector, stations.detector, stations.policy, rng,
-        )
-        # Joint sign flip on half the midpoint trials balances ++ against --
-        # while leaving every correlation at +1.
-        flip = rng.random(len(pol_a)) < 0.5
-        selected = plan.method2 & flip
-        _flip_signs(out_a, selected)
-        _flip_signs(out_b, selected)
-        return BatchOutcomes(out_a, out_b, dbl_a, dbl_b)
-
-
-class ImprovedEmission(NamedTuple):
-    pulse: PulsePair
-    method2: bool
-
-
-def improved_emit(
-    spec: ImprovedModelSpec, settings: MeasurementSettings, rng: np.random.Generator
-) -> ImprovedEmission:
-    """Draw one emission of the mixture model, tagged with the method used."""
-    strategy = ImprovedStrategy(spec, settings)
-    batch = strategy.emit_batch(1, 0, rng)
-    return ImprovedEmission(strategy.pulse_pair(batch), bool(batch.method2[0]))
-
-
-def symmetrize(
-    outcomes: tuple[Outcome, Outcome], rng: np.random.Generator
-) -> tuple[Outcome, Outcome]:
-    """With probability 1/2, flip both parties' signs (midpoint-pulse trials only).
-
-    The joint flip preserves each setting's correlation while equalizing the
-    ++ and -- populations.
-    """
-    if rng.random() < 0.5:
-        return outcomes[0].flipped(), outcomes[1].flipped()
-    return outcomes
+    def joint_table(self, stations: StationConfig) -> np.ndarray:
+        # The midpoint pulse enters twice at p2/2, the second time with
+        # both parties' signs swapped: the joint flip balances ++ against
+        # -- while leaving every correlation at +1.
+        p2, trigger = self.spec.p2, self.spec.trigger_intensity
+        forced_a, forced_b = self._method1.responses(stations)
+        mid_a = stations.response(self._mid_a, trigger, alice=True)
+        mid_b = stations.response(self._mid_b, trigger, alice=False)
+        w = np.concatenate([(1.0 - p2) * self._method1.weights, [p2 / 2.0, p2 / 2.0]])
+        alice = np.concatenate([forced_a, [mid_a, mid_a[:, _SWAP_SIGNS]]])
+        bob = np.concatenate([forced_b, [mid_b, mid_b[:, _SWAP_SIGNS]]])
+        return _local_table(w, alice, bob)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +358,8 @@ CONTROL_ROWS = (
 
 def control_row_probabilities(a: float, b: float) -> tuple[float, float, float, float]:
     """Row probabilities (a-b, b/2, b/2, 1-a); requires a >= b."""
-    _check_unit("a", a)
-    _check_unit("b", b)
+    check_unit_interval("a", a)
+    check_unit_interval("b", b)
     if a < b:
         raise ValidationError(f"need a >= b for non-negative row probabilities, got a={a!r}, b={b!r}")
     return (a - b, b / 2.0, b / 2.0, 1.0 - a)
@@ -529,26 +416,19 @@ def feasible_intensity_window(
 
 
 def control_pulse_for(
-    target_behavior: ControlRow | None,
+    target_behavior: ControlRow,
     a: float,
     b: float,
     alice_angles: tuple[Angle, Angle],
-    rng: np.random.Generator | None = None,
 ) -> tuple[Angle | None, float]:
     """One controlled-side pulse half: (polarization, intensity).
 
     ``alice_angles`` is ``(base, other)``: the analyzer angle the pulse is
-    keyed to and the same party's other analyzer angle. When
-    ``target_behavior`` is ``None`` a row is sampled with probabilities
-    (a-b, b/2, b/2, 1-a), which requires ``rng``. The intensity is the
-    midpoint of the row's feasible window; an empty window raises
-    :class:`InfeasibleGeometry`.
+    keyed to and the same party's other analyzer angle. The intensity is
+    the midpoint of the row's feasible window; an empty window raises
+    :class:`InfeasibleGeometry`. Requires ``a >= b``.
     """
-    probs = control_row_probabilities(a, b)
-    if target_behavior is None:
-        if rng is None:
-            raise ValidationError("sampling a control row requires an rng")
-        target_behavior = CONTROL_ROWS[int(_categorical(_cumulative(probs), 1, rng)[0])]
+    control_row_probabilities(a, b)
     if target_behavior is ControlRow.VACUUM:
         return None, 0.0
     base, other = alice_angles
@@ -573,38 +453,19 @@ def control_pulse_for(
 # ---------------------------------------------------------------------------
 
 
-class PerfectBatch(NamedTuple):
-    label: np.ndarray
-    reversed_: np.ndarray
-    hidden_u: np.ndarray | None
-    row: np.ndarray | None
-
-
-def _deterministic_minus(
-    label: np.ndarray, det_basis: np.ndarray, reversed_: np.ndarray
-) -> np.ndarray:
-    """Where the deterministic party reports "-".
-
-    Keyed so the subtracted CHSH setting is the anti-correlated one in
-    both orientations: the plain table puts the minus on (source 0,
-    basis 1) at Bob; with roles reversed it must sit on (source 1,
-    basis 0) at Alice, the transpose, or the reversed trials would cancel
-    the plain trials' correlation at the subtracted setting.
-    """
-    plain = (label == 0) & (det_basis == 1)
-    swapped = (label == 1) & (det_basis == 0)
-    return np.where(reversed_, swapped, plain)
-
-
 class PerfectStrategy:
-    """Source emitting one of two setting-basis labels, with one controlled party."""
+    """Source emitting one of two setting-basis labels, with one controlled party.
+
+    With role reversal the controlled party alternates with the trial
+    index (even trials control Alice, odd trials Bob), so the table has
+    one phase per parity.
+    """
 
     def __init__(self, spec: PerfectModelSpec, settings: MeasurementSettings):
         self.spec = spec
         self.settings = settings
         if spec.mode is PerfectMode.PHYSICAL_PULSES:
-            control_row_probabilities(spec.a, spec.b)  # physical control needs a >= b
-            self._row_cum = _cumulative(control_row_probabilities(spec.a, spec.b))
+            self._row_probs = np.array(control_row_probabilities(spec.a, spec.b))
             self._build_pulse_tables()
         self.label = (
             f"perfect(a={spec.a:.12g}, b={spec.b:.12g}, mode={spec.mode.value}, "
@@ -613,7 +474,6 @@ class PerfectStrategy:
 
     def _build_pulse_tables(self) -> None:
         # pol/intensity per (controlled party: 0=alice, 1=bob) x label x row.
-        probs = control_row_probabilities(self.spec.a, self.spec.b)
         geometries = [
             (self.settings.alpha0, self.settings.alpha1),
             (self.settings.beta0, self.settings.beta1),
@@ -626,7 +486,7 @@ class PerfectStrategy:
             for label in (0, 1):
                 base, other = angles[label], angles[1 - label]
                 for k, row in enumerate(CONTROL_ROWS):
-                    if probs[k] == 0.0 and row is not ControlRow.VACUUM:
+                    if self._row_probs[k] == 0.0 and row is not ControlRow.VACUUM:
                         continue  # unreachable row; geometry need not support it
                     p, i = control_pulse_for(row, self.spec.a, self.spec.b, (base, other))
                     pol[side, label, k] = 0.0 if p is None else p.degrees
@@ -634,122 +494,44 @@ class PerfectStrategy:
         self._pol_table = pol
         self._int_table = inten
 
-    def control_pulse(self, reversed_: bool, label: int, row: ControlRow) -> tuple[Angle | None, float]:
-        k = CONTROL_ROWS.index(row)
-        if row is ControlRow.VACUUM:
-            return None, 0.0
-        side = 1 if reversed_ else 0
-        return Angle(self._pol_table[side, label, k]), float(self._int_table[side, label, k])
-
-    def emit_batch(self, n: int, start: int, rng: np.random.Generator) -> PerfectBatch:
-        label = rng.integers(0, 2, size=n).astype(np.int8)
-        if self.spec.mode is PerfectMode.ANALYTIC_TABLE:
-            hidden_u, row = rng.random(n), None
-        else:
-            hidden_u, row = None, _categorical(self._row_cum, n, rng)
-        if self.spec.role_reversal:
-            reversed_ = ((start + np.arange(n)) % 2).astype(bool)
-        else:
-            reversed_ = np.zeros(n, dtype=bool)
-        return PerfectBatch(label, reversed_, hidden_u, row)
-
-    def resolve_batch(
-        self,
-        plan: PerfectBatch,
-        a_set: np.ndarray,
-        b_set: np.ndarray,
-        stations: StationConfig,
-        rng: np.random.Generator,
-    ) -> BatchOutcomes:
-        n = len(plan.label)
-        ctrl_basis = np.where(plan.reversed_, b_set, a_set)
-        det_basis = np.where(plan.reversed_, a_set, b_set)
-        minus = _deterministic_minus(plan.label, det_basis, plan.reversed_)
-        out_det = np.where(minus, OUT_MINUS, OUT_PLUS).astype(np.int8)
-
-        if self.spec.mode is PerfectMode.ANALYTIC_TABLE:
-            a, b = self.spec.a, self.spec.b
-            u = plan.hidden_u
-            match = ctrl_basis == plan.label
-            out_ctrl = np.full(n, OUT_INCONCLUSIVE, dtype=np.int8)
-            out_ctrl[match & (u < a)] = OUT_PLUS
-            out_ctrl[~match & (u < b / 2.0)] = OUT_PLUS
-            out_ctrl[~match & (u >= b / 2.0) & (u < b)] = OUT_MINUS
-            dbl_ctrl = np.zeros(n, dtype=bool)
-        else:
-            side = plan.reversed_.astype(np.intp)
-            pol = self._pol_table[side, plan.label.astype(np.intp), plan.row.astype(np.intp)]
-            inten = self._int_table[side, plan.label.astype(np.intp), plan.row.astype(np.intp)]
-            ctrl_angle = np.where(
-                plan.reversed_, stations.bob_angles(b_set), stations.alice_angles(a_set)
+    def _controlled(self, stations: StationConfig, reversed_: bool) -> np.ndarray:
+        """The controlled party's state distribution per label and basis, (2, 2, 8)."""
+        if self.spec.mode is PerfectMode.PHYSICAL_PULSES:
+            side = int(reversed_)
+            per_row = stations.response(
+                self._pol_table[side], self._int_table[side], alice=not reversed_
             )
-            out_ctrl, dbl_ctrl = analyze_batch(
-                pol, inten, ctrl_angle,
-                stations.detector, stations.detector, stations.policy, rng,
-            )
+            return np.einsum("r,lrck->lck", self._row_probs, per_row)
+        a, b = self.spec.a, self.spec.b
+        match = np.zeros(N_STATES)
+        match[[OUT_PLUS, OUT_INCONCLUSIVE]] = a, 1.0 - a
+        mismatch = np.zeros(N_STATES)
+        mismatch[[OUT_PLUS, OUT_MINUS, OUT_INCONCLUSIVE]] = b / 2.0, b / 2.0, 1.0 - b
+        return np.array([[match, mismatch], [mismatch, match]])
 
-        out_a = np.where(plan.reversed_, out_det, out_ctrl).astype(np.int8)
-        out_b = np.where(plan.reversed_, out_ctrl, out_det).astype(np.int8)
-        return BatchOutcomes(out_a, out_b, dbl_ctrl & ~plan.reversed_, dbl_ctrl & plan.reversed_)
+    @staticmethod
+    def _deterministic(reversed_: bool) -> np.ndarray:
+        """The other party's certain outcome per label and basis, (2, 2, 8).
 
+        Keyed so the subtracted CHSH setting is the anti-correlated one in
+        both orientations: the plain table puts the minus on (source 0,
+        basis 1) at Bob; with roles reversed it must sit on (source 1,
+        basis 0) at Alice, the transpose, or the reversed trials would
+        cancel the plain trials' correlation at the subtracted setting.
+        """
+        codes = np.full((2, 2), OUT_PLUS)
+        codes[(1, 0) if reversed_ else (0, 1)] = OUT_MINUS
+        return np.eye(N_STATES)[codes]
 
-@dataclass(frozen=True)
-class PerfectTrialPlan:
-    """One emitted trial of the perfect model, resolvable once settings exist."""
-
-    strategy: PerfectStrategy
-    label: int
-    role_reversed: bool
-    hidden_u: float | None
-    row: ControlRow | None
-
-    @property
-    def control_pulse(self) -> tuple[Angle | None, float] | None:
-        if self.row is None:
-            return None
-        return self.strategy.control_pulse(self.role_reversed, self.label, self.row)
-
-    def resolve(
-        self,
-        pair: SettingPair,
-        rng: np.random.Generator,
-        detector: DetectorModel | None = None,
-        policy: DoubleClickPolicy = DoubleClickPolicy.DISCARD,
-    ) -> tuple[Outcome, Outcome]:
-        batch = PerfectBatch(
-            label=np.array([self.label], dtype=np.int8),
-            reversed_=np.array([self.role_reversed]),
-            hidden_u=None if self.hidden_u is None else np.array([self.hidden_u]),
-            row=None if self.row is None else np.array([CONTROL_ROWS.index(self.row)], dtype=np.int8),
-        )
-        stations = StationConfig.from_settings(self.strategy.settings, detector, policy)
-        out = self.strategy.resolve_batch(
-            batch, np.array([pair.alice], dtype=np.int8), np.array([pair.bob], dtype=np.int8),
-            stations, rng,
-        )
-        return OUTCOME_BY_CODE[int(out.alice[0])], OUTCOME_BY_CODE[int(out.bob[0])]
-
-
-def perfect_emit(
-    spec: PerfectModelSpec,
-    settings: MeasurementSettings,
-    rng: np.random.Generator,
-    trial_index: int = 0,
-) -> PerfectTrialPlan:
-    """Draw one emission of the perfect model.
-
-    With role reversal enabled the controlled party alternates with the
-    trial index (even trials control Alice, odd trials Bob).
-    """
-    strategy = PerfectStrategy(spec, settings)
-    batch = strategy.emit_batch(1, trial_index, rng)
-    return PerfectTrialPlan(
-        strategy=strategy,
-        label=int(batch.label[0]),
-        role_reversed=bool(batch.reversed_[0]),
-        hidden_u=None if batch.hidden_u is None else float(batch.hidden_u[0]),
-        row=None if batch.row is None else CONTROL_ROWS[int(batch.row[0])],
-    )
+    def joint_table(self, stations: StationConfig) -> np.ndarray:
+        w = np.array([0.5, 0.5])
+        tables = []
+        for reversed_ in (False, True) if self.spec.role_reversal else (False,):
+            ctrl = self._controlled(stations, reversed_)
+            det = self._deterministic(reversed_)
+            alice, bob = (det, ctrl) if reversed_ else (ctrl, det)
+            tables.append(_local_table(w, alice, bob))
+        return np.stack(tables)
 
 
 def perfect_joint_distribution(
@@ -763,10 +545,10 @@ def perfect_joint_distribution(
     """Exact joint outcome distribution for one source label and setting pair.
 
     Probabilities over {+, -, ?} x {+, -, ?}; zero-probability outcomes are
-    omitted. This is the closed form the samplers are tested against.
+    omitted. This is the closed form the compiled tables are tested against.
     """
-    _check_unit("a", a)
-    _check_unit("b", b)
+    check_unit_interval("a", a)
+    check_unit_interval("b", b)
     if label not in (0, 1) or alice_basis not in (0, 1) or bob_basis not in (0, 1):
         raise ValidationError("label and basis indices must be 0 or 1")
     ctrl_basis = bob_basis if role_reversed else alice_basis
@@ -890,72 +672,27 @@ def quantum_correlation(alpha: Angle, beta: Angle, state: TwoQubitState) -> floa
 
 
 class QuantumStrategy:
-    """Samples joint outcomes from the state, then erases each side at 1 - eta."""
+    """Joint outcomes of the state, then each side erased independently at 1 - eta."""
 
     def __init__(self, spec: QuantumSpec, settings: MeasurementSettings):
         self.spec = spec
         self.settings = settings
-        cum = np.empty((4, 4))
-        for a_i in (0, 1):
-            for b_i in (0, 1):
-                p = quantum_joint_probabilities(
-                    settings.alice_angle(a_i), settings.bob_angle(b_i), spec.state
-                ).ravel()
-                cum[a_i * 2 + b_i] = _cumulative(p)
-        self._cum = cum
         amps = ", ".join(f"{z:.6g}" for z in spec.state.amplitudes)
         self.label = f"quantum(eta_true={spec.eta_true:.12g}, state=[{amps}])"
 
-    def emit_batch(self, n: int, start: int, rng: np.random.Generator) -> int:
-        # The shared state is the whole emission; nothing classical to draw.
-        return n
-
-    def resolve_batch(
-        self,
-        plan: int,
-        a_set: np.ndarray,
-        b_set: np.ndarray,
-        stations: StationConfig,
-        rng: np.random.Generator,
-    ) -> BatchOutcomes:
-        n = len(a_set)
-        cum = self._cum[(a_set.astype(np.intp) * 2 + b_set.astype(np.intp))]
-        u = rng.random(n)
-        cat = (u[:, None] >= cum[:, :3]).sum(axis=1)
-        out_a = (cat >> 1).astype(np.int8)
-        out_b = (cat & 1).astype(np.int8)
+    def joint_table(self, stations: StationConfig) -> np.ndarray:
         eta = self.spec.eta_true
-        out_a[rng.random(n) >= eta] = OUT_INCONCLUSIVE
-        out_b[rng.random(n) >= eta] = OUT_INCONCLUSIVE
-        zeros = np.zeros(n, dtype=bool)
-        return BatchOutcomes(out_a, out_b, zeros, zeros)
-
-
-@dataclass(frozen=True)
-class QuantumTrialPlan:
-    """One prepared entangled pair; outcomes are sampled at measurement time."""
-
-    strategy: QuantumStrategy
-
-    def resolve(self, pair: SettingPair, rng: np.random.Generator) -> tuple[Outcome, Outcome]:
-        out = self.strategy.resolve_batch(
-            1,
-            np.array([pair.alice], dtype=np.int8),
-            np.array([pair.bob], dtype=np.int8),
-            StationConfig.from_settings(self.strategy.settings),
-            rng,
-        )
-        return OUTCOME_BY_CODE[int(out.alice[0])], OUTCOME_BY_CODE[int(out.bob[0])]
-
-
-def quantum_emit(
-    state: TwoQubitState,
-    settings: MeasurementSettings,
-    eta_true: float,
-    rng: np.random.Generator,
-) -> QuantumTrialPlan:
-    """Prepare one honest trial at true per-side efficiency ``eta_true``."""
-    return QuantumTrialPlan(QuantumStrategy(QuantumSpec(state, eta_true), settings))
+        erasure = np.zeros((2, N_STATES))  # +/- before erasure -> state after
+        erasure[0, OUT_PLUS] = erasure[1, OUT_MINUS] = eta
+        erasure[:, OUT_INCONCLUSIVE] = 1.0 - eta
+        table = np.empty((4, N_STATES, N_STATES))
+        for a_i in (0, 1):
+            for b_i in (0, 1):
+                p = quantum_joint_probabilities(
+                    self.settings.alice_angle(a_i), self.settings.bob_angle(b_i), self.spec.state
+                )
+                table[2 * a_i + b_i] = erasure.T @ p @ erasure
+        return table[None]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,5 @@ def standard_settings() -> MeasurementSettings:
     return MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5)
 
 
-@pytest.fixture
-def rng() -> np.random.Generator:
-    return np.random.default_rng(20240817)
-
-
 def make_rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)

@@ -89,6 +89,11 @@ class TestRunCommand:
         assert main(["run", str(perfect_config), "--trials", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+    def test_seed_outside_64_bits_rejected(self, perfect_config, seed, capsys):
+        assert main(["run", str(perfect_config), "--seed", seed, "--trials", "100"]) == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
     def test_unknown_strategy_lists_valid_names(self, tmp_path, capsys):
         config = write_config(tmp_path, "[strategy]\nkind = telepathy\n"
                                         "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n")

@@ -9,7 +9,6 @@ from bellsim import (
     CoincidenceCounts,
     MeasurementSettings,
     Outcome,
-    PulsePair,
     SettingPair,
     SettingTally,
     ValidationError,
@@ -98,28 +97,9 @@ class TestSettingPair:
 
 
 class TestOutcome:
-    def test_flipped(self):
-        assert Outcome.PLUS.flipped() is Outcome.MINUS
-        assert Outcome.MINUS.flipped() is Outcome.PLUS
-        assert Outcome.INCONCLUSIVE.flipped() is Outcome.INCONCLUSIVE
-        assert Outcome.DOUBLE.flipped() is Outcome.DOUBLE
-
     def test_conclusive(self):
         assert Outcome.PLUS.conclusive and Outcome.MINUS.conclusive
         assert not Outcome.INCONCLUSIVE.conclusive and not Outcome.DOUBLE.conclusive
-
-
-class TestPulsePair:
-    def test_vacuum_must_have_zero_intensity(self):
-        PulsePair(None, 0.0, Angle(10), 1.0)  # fine
-        with pytest.raises(ValidationError):
-            PulsePair(None, 0.5, Angle(10), 1.0)
-        with pytest.raises(ValidationError):
-            PulsePair(Angle(0), 0.0, Angle(10), 1.0)
-
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValidationError):
-            PulsePair(Angle(0), -1.0, Angle(10), 1.0)
 
 
 def _tally(**overrides):
@@ -187,6 +167,9 @@ class TestRunSummary:
             dataclasses.replace(summary, correlations={p: 2.0 for p in SettingPair})
 
     def test_carries_diagnostics(self, summary):
+        from bellsim import StepThreshold
+
         assert summary.n_trials == 4000
         assert set(summary.joint_counts) == set(SettingPair)
         assert all(t.shape == (4, 4) for t in summary.joint_counts.values())
+        assert summary.detector_model == StepThreshold()

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from bellsim import (
+    DoubleClickPolicy,
     Empirical,
+    ExistingModelSpec,
+    MeasurementSettings,
     MalformedCurve,
     RampShape,
     StepThreshold,
@@ -11,9 +14,12 @@ from bellsim import (
     bundled_response_curve,
     click_probability,
     load_response_curve,
+    RunConfig,
+    pulse_response,
     read_response_csv,
-    sample_click,
+    run,
 )
+from bellsim.optics import N_STATES, OUT_DOUBLE, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
 
 HALF_INTENSITY_CLICK_PROB = 0.40  # synthetic curve pinned to this value
 
@@ -134,20 +140,26 @@ class TestMonotonicityAndBounds:
 
 
 class TestSampleClick:
+    """The click probabilities the engine's counts are drawn from."""
+
     def test_certain_click(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_click(StepThreshold(1.0), 2.0, rng) for _ in range(50))
+        assert click_probability(StepThreshold(1.0), 2.0) == 1.0
+        assert np.array_equal(click_probability(StepThreshold(1.0), np.full(50, 1.0)), np.ones(50))
 
     def test_certain_silence(self):
-        rng = np.random.default_rng(0)
-        assert not any(sample_click(StepThreshold(1.0), 0.0, rng) for _ in range(50))
+        assert click_probability(StepThreshold(1.0), 0.0) == 0.0
+        assert not click_probability(StepThreshold(1.0), np.full(50, 1.0 - 1e-12)).any()
 
     def test_law_of_large_numbers_on_ramp_midpoint(self):
-        # 10^6 Bernoulli samples at p = 0.5 concentrate to 0.5 +- 0.002.
-        rng = np.random.default_rng(123)
-        model = TwoThreshold(0.8, 1.2)
-        clicks = sample_click(model, np.full(1_000_000, 1.0), rng)
-        assert abs(clicks.mean() - 0.5) < 0.002
+        # Forced pulses carry one threshold unit, the middle of this ramp, so
+        # a basis match (half the trials) clicks with probability 0.5 and a
+        # mismatch never does: 10^6 trials put Alice's rate at 0.25 +- 0.002.
+        summary = run(RunConfig(
+            strategy=ExistingModelSpec(1.0),
+            settings=MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5),
+            n_trials=1_000_000, seed=123, detector_model=TwoThreshold(0.8, 1.2),
+        ))
+        assert abs(summary.eta_alice - 0.25) < 0.002
 
 
 class TestResponseCsv:
@@ -193,8 +205,10 @@ class TestBundledCurve:
     def test_mismatch_gives_random_clicks_at_the_pinned_rate(self):
         # A basis-mismatched full-intensity pulse puts half the light on each
         # arm, so each detector fires independently with probability 0.40.
-        model = bundled_response_curve()
-        rng = np.random.default_rng(5)
-        n = 200_000
-        arm = sample_click(model, np.full(n, 0.5), rng)
-        assert abs(arm.mean() - HALF_INTENSITY_CLICK_PROB) < 0.004
+        got = pulse_response(45.0, 1.0, 0.0, bundled_response_curve(), DoubleClickPolicy.FLAG)
+        p = HALF_INTENSITY_CLICK_PROB
+        want = np.zeros(N_STATES)
+        want[[OUT_PLUS, OUT_MINUS, OUT_INCONCLUSIVE, 4 + OUT_DOUBLE]] = (
+            p * (1 - p), p * (1 - p), (1 - p) ** 2, p * p,
+        )
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

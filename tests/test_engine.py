@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bellsim import (
     AllZeroCoincidences,
@@ -15,6 +16,7 @@ from bellsim import (
     QuantumSpec,
     RunConfig,
     SettingPair,
+    StepThreshold,
     ValidationError,
     bell_phi_plus,
     bundled_response_curve,
@@ -23,7 +25,7 @@ from bellsim import (
     no_signalling_from_tables,
     run,
 )
-from bellsim.engine import BATCH_SIZE
+from bellsim.engine import BATCH_SIZE, _batch_rng
 
 SQRT2 = math.sqrt(2.0)
 A_THRESHOLD = 12.0 * SQRT2 - 16.0
@@ -54,6 +56,41 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(strategy=ExistingModelSpec(0.5), settings=standard_settings,
                       n_trials=10, seed=1.5)
+
+
+SEED_LIMIT = 2**64
+
+
+def seeded(seed):
+    return RunConfig(strategy=ExistingModelSpec(0.5), settings=SETTINGS, n_trials=10, seed=seed)
+
+
+class TestSeedDomain:
+    @hyp_settings(deadline=None)
+    @given(st.integers(0, SEED_LIMIT - 1))
+    def test_every_64_bit_seed_is_accepted(self, seed):
+        assert seeded(seed).seed == seed
+
+    @hyp_settings(deadline=None)
+    @given(st.one_of(st.integers(max_value=-1), st.integers(min_value=SEED_LIMIT)))
+    def test_seeds_outside_64_bits_are_rejected(self, seed):
+        with pytest.raises(ValidationError, match="2\\*\\*64"):
+            seeded(seed)
+
+    def test_domain_edges(self):
+        for seed in (0, SEED_LIMIT - 1):
+            seeded(seed)
+        for seed in (-1, SEED_LIMIT, SEED_LIMIT + 1):
+            with pytest.raises(ValidationError):
+                seeded(seed)
+
+    @hyp_settings(deadline=None)
+    @given(st.integers(0, SEED_LIMIT - 1), st.integers(0, SEED_LIMIT - 1), st.integers(0, 1000))
+    def test_distinct_seeds_give_distinct_streams(self, first, second, batch):
+        if first == second:
+            return
+        draw = [_batch_rng(seed, batch).integers(0, 2**63, size=2) for seed in (first, second)]
+        assert not np.array_equal(*draw)
 
 
 class TestReproducibility:
@@ -206,6 +243,15 @@ class TestMerge:
         ))
         with pytest.raises(ValidationError):
             merge([base, flagged])
+
+    def test_mixed_detectors_rejected(self, standard_settings):
+        config = perfect_config(standard_settings, n_trials=20_000, seed=19)
+        step1 = run(dataclasses.replace(config, detector_model=StepThreshold(1.0)))
+        step2 = run(dataclasses.replace(config, detector_model=StepThreshold(2.0)))
+        assert step1.detector_model == StepThreshold(1.0)
+        with pytest.raises(ValidationError, match="different detectors"):
+            merge([step1, step2])
+        assert merge([step1, step1]).detector_model == StepThreshold(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

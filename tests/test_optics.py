@@ -6,12 +6,15 @@ import pytest
 from bellsim import (
     Angle,
     DoubleClickPolicy,
-    Outcome,
     StepThreshold,
+    TwoThreshold,
     ValidationError,
-    analyze,
+    bundled_response_curve,
+    click_probability,
     malus_split,
+    pulse_response,
 )
+from bellsim.optics import N_STATES, OUT_DOUBLE, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
 
 # cos^2(22.5 deg) = (2 + sqrt(2)) / 4, frozen from the half-angle identity.
 COS2_22P5 = (2.0 + math.sqrt(2.0)) / 4.0
@@ -55,83 +58,95 @@ class TestMalusSplit:
             malus_split(Angle(0), Angle(0), -1.0)
 
 
+def state(code, double=False):
+    """Index of a party's state in the response's trailing axis."""
+    return code + 4 * double
+
+
+def point_mass(index):
+    out = np.zeros(N_STATES)
+    out[index] = 1.0
+    return out
+
+
+RANDOM = np.random.default_rng(4)
+RANDOM_POL = RANDOM.uniform(-90, 90, size=1000)
+RANDOM_BASIS = RANDOM.uniform(-90, 90, size=1000)
+
+
 class TestAnalyze:
-    def test_vacuum_is_inconclusive(self, rng):
-        for basis in (0.0, 30.0, -45.0):
-            result = analyze(None, 0.0, Angle(basis), STEP, STEP,
-                             DoubleClickPolicy.DISCARD, rng)
-            assert result.outcome is Outcome.INCONCLUSIVE
-            assert not result.double_click
+    """The analyzer's exact state distribution for one pulse, via pulse_response."""
 
-    def test_vacuum_requires_zero_intensity(self, rng):
-        with pytest.raises(ValidationError):
-            analyze(None, 1.0, Angle(0), STEP, STEP, DoubleClickPolicy.DISCARD, rng)
+    def test_vacuum_is_inconclusive(self):
+        for policy in DoubleClickPolicy:
+            for basis in (0.0, 30.0, -45.0):
+                got = pulse_response(17.0, 0.0, basis, STEP, policy)
+                assert np.array_equal(got, point_mass(state(OUT_INCONCLUSIVE)))
 
-    def test_matched_basis_clicks_plus(self, rng):
-        result = analyze(Angle(30), 1.0, Angle(30), STEP, STEP,
-                         DoubleClickPolicy.DISCARD, rng)
-        assert result.outcome is Outcome.PLUS
+    def test_matched_basis_clicks_plus(self):
+        got = pulse_response(30.0, 1.0, 30.0, STEP, DoubleClickPolicy.DISCARD)
+        assert np.array_equal(got, point_mass(state(OUT_PLUS)))
 
-    def test_perpendicular_clicks_minus(self, rng):
-        result = analyze(Angle(-60), 1.0, Angle(30), STEP, STEP,
-                         DoubleClickPolicy.DISCARD, rng)
-        assert result.outcome is Outcome.MINUS
+    def test_perpendicular_clicks_minus(self):
+        got = pulse_response(-60.0, 1.0, 30.0, STEP, DoubleClickPolicy.DISCARD)
+        assert np.array_equal(got, point_mass(state(OUT_MINUS)))
 
-    def test_conjugate_mismatch_never_clicks(self, rng):
+    def test_conjugate_mismatch_never_clicks(self):
         # 1.5 units split 50/50 leaves both arms below threshold.
-        result = analyze(Angle(45), 1.5, Angle(0), STEP, STEP,
-                         DoubleClickPolicy.DISCARD, rng)
-        assert result.outcome is Outcome.INCONCLUSIVE
+        got = pulse_response(45.0, 1.5, 0.0, STEP, DoubleClickPolicy.DISCARD)
+        assert np.array_equal(got, point_mass(state(OUT_INCONCLUSIVE)))
 
     def test_double_click_policies(self):
         # 4 units at 45 degrees puts 2 on each arm: both detectors fire.
-        rng = np.random.default_rng(0)
-        discard = analyze(Angle(45), 4.0, Angle(0), STEP, STEP,
-                          DoubleClickPolicy.DISCARD, rng)
-        assert discard.outcome is Outcome.INCONCLUSIVE
-        assert discard.double_click
-
-        flagged = analyze(Angle(45), 4.0, Angle(0), STEP, STEP,
-                          DoubleClickPolicy.FLAG, rng)
-        assert flagged.outcome is Outcome.DOUBLE
-        assert flagged.double_click
-
-        outcomes = [
-            analyze(Angle(45), 4.0, Angle(0), STEP, STEP,
-                    DoubleClickPolicy.RANDOMIZE, rng).outcome
-            for _ in range(2000)
-        ]
-        assert set(outcomes) == {Outcome.PLUS, Outcome.MINUS}
-        plus_fraction = sum(o is Outcome.PLUS for o in outcomes) / len(outcomes)
-        assert abs(plus_fraction - 0.5) < 0.05
+        discard = pulse_response(45.0, 4.0, 0.0, STEP, DoubleClickPolicy.DISCARD)
+        assert np.array_equal(discard, point_mass(state(OUT_INCONCLUSIVE, double=True)))
+        flagged = pulse_response(45.0, 4.0, 0.0, STEP, DoubleClickPolicy.FLAG)
+        assert np.array_equal(flagged, point_mass(state(OUT_DOUBLE, double=True)))
+        randomized = pulse_response(45.0, 4.0, 0.0, STEP, DoubleClickPolicy.RANDOMIZE)
+        assert np.array_equal(
+            randomized,
+            0.5 * point_mass(state(OUT_PLUS, double=True)) + 0.5 * point_mass(state(OUT_MINUS, double=True)),
+        )
+        # A noisy detector at its ramp midpoint fires each arm independently
+        # with probability 1/2: singles, silence and doubles a quarter each.
+        noisy = pulse_response(45.0, 2.0, 0.0, TwoThreshold(0.8, 1.2), DoubleClickPolicy.FLAG)
+        want = 0.25 * (point_mass(state(OUT_PLUS)) + point_mass(state(OUT_MINUS))
+                       + point_mass(state(OUT_INCONCLUSIVE))
+                       + point_mass(state(OUT_DOUBLE, double=True)))
+        np.testing.assert_allclose(noisy, want, rtol=0, atol=1e-15)
 
     def test_double_never_escapes_without_flag(self):
-        rng = np.random.default_rng(1)
+        intensity = np.random.default_rng(1).uniform(0, 5, size=1000)
         for policy in (DoubleClickPolicy.DISCARD, DoubleClickPolicy.RANDOMIZE):
-            for _ in range(50):
-                result = analyze(Angle(rng.uniform(-90, 90)), rng.uniform(0, 5),
-                                 Angle(rng.uniform(-90, 90)), STEP, STEP, policy, rng)
-                assert result.outcome is not Outcome.DOUBLE
+            got = pulse_response(RANDOM_POL, intensity, RANDOM_BASIS, STEP, policy)
+            assert not got[:, state(OUT_DOUBLE)].any()
+            assert not got[:, state(OUT_DOUBLE, double=True)].any()
 
     def test_step_detectors_below_twice_threshold_cannot_double(self):
         # Both arms sum to I < 2, so they cannot both reach the threshold.
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            result = analyze(
-                Angle(rng.uniform(-90, 90)), rng.uniform(1.0, 2.0 - 1e-9),
-                Angle(rng.uniform(-90, 90)), STEP, STEP,
-                DoubleClickPolicy.FLAG, rng,
-            )
-            assert not result.double_click
-            assert result.outcome is not Outcome.DOUBLE
+        intensity = np.random.default_rng(2).uniform(1.0, 2.0 - 1e-9, size=1000)
+        got = pulse_response(RANDOM_POL, intensity, RANDOM_BASIS, STEP, DoubleClickPolicy.FLAG)
+        assert not got[:, 4:].any()
+        assert not got[:, state(OUT_DOUBLE)].any()
 
     def test_always_returns_single_outcome(self):
-        rng = np.random.default_rng(3)
-        seen = set()
-        for _ in range(500):
-            result = analyze(Angle(rng.uniform(-90, 90)), rng.uniform(0, 4),
-                             Angle(rng.uniform(-90, 90)), STEP, STEP,
-                             DoubleClickPolicy.FLAG, rng)
-            assert isinstance(result.outcome, Outcome)
-            seen.add(result.outcome)
-        assert Outcome.PLUS in seen and Outcome.INCONCLUSIVE in seen
+        intensity = np.random.default_rng(3).uniform(0, 4, size=1000)
+        for detector in (STEP, TwoThreshold(0.8, 1.2), bundled_response_curve()):
+            for policy in DoubleClickPolicy:
+                got = pulse_response(RANDOM_POL, intensity, RANDOM_BASIS, detector, policy)
+                assert got.shape == (1000, N_STATES)
+                assert (got >= 0.0).all()
+                np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        seen = pulse_response(RANDOM_POL, intensity, RANDOM_BASIS, STEP, DoubleClickPolicy.FLAG)
+        assert seen[:, state(OUT_PLUS)].any() and seen[:, state(OUT_INCONCLUSIVE)].any()
+
+    def test_ports_follow_malus_split(self):
+        detector = TwoThreshold(0.5, 2.5)
+        got = pulse_response(RANDOM_POL[:50, None], 3.0, (0.0, 40.0), detector, DoubleClickPolicy.FLAG)
+        assert got.shape == (50, 2, N_STATES)
+        for i in range(50):
+            for j, basis in enumerate((0.0, 40.0)):
+                t, r = malus_split(Angle(RANDOM_POL[i]), Angle(basis), 3.0)
+                p_plus, p_minus = click_probability(detector, t), click_probability(detector, r)
+                assert got[i, j, state(OUT_PLUS)] == pytest.approx(p_plus * (1 - p_minus), abs=1e-12)
+                assert got[i, j, state(OUT_DOUBLE, double=True)] == pytest.approx(p_plus * p_minus, abs=1e-12)

@@ -19,26 +19,25 @@ from bellsim import (
     StepThreshold,
     ControlRow,
     TwoQubitState,
+    TwoThreshold,
     ValidationError,
-    analyze,
     bell_phi_plus,
     control_pulse_for,
-    existing_emit,
     feasible_intensity_window,
-    improved_emit,
-    perfect_emit,
     perfect_joint_distribution,
     perfect_no_signalling_discrepancy,
+    pulse_response,
     quantum_correlation,
-    quantum_emit,
     quantum_joint_probabilities,
     run,
-    symmetrize,
 )
+from bellsim.optics import N_STATES, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
 from bellsim.strategies import (
     ExistingStrategy,
     PerfectStrategy,
     StationConfig,
+    build_strategy,
+    control_row_probabilities,
     source_polarization_cells,
 )
 
@@ -48,6 +47,7 @@ B_THRESHOLD = 40.0 - 28.0 * SQRT2
 STEP = StepThreshold(1.0)
 
 P, M, Q = Outcome.PLUS, Outcome.MINUS, Outcome.INCONCLUSIVE
+CODE = {P: OUT_PLUS, M: OUT_MINUS, Q: OUT_INCONCLUSIVE}
 
 
 def chsh_from_correlations(correlations):
@@ -57,6 +57,38 @@ def chsh_from_correlations(correlations):
         + correlations[SettingPair.A1B1]
         - correlations[SettingPair.A0B1]
     )
+
+
+def compiled(spec, settings, detector=STEP, policy=DoubleClickPolicy.DISCARD):
+    """The strategy's exact table, (phases, 4 settings, 8, 8)."""
+    stations = StationConfig.from_settings(settings, detector, policy)
+    return build_strategy(spec, settings).joint_table(stations)
+
+
+def outcomes(table):
+    """Fold away the double bit: (phases, 4 settings, 4, 4) over outcome codes."""
+    return table.reshape(len(table), 4, 2, 4, 2, 4).sum(axis=(2, 4))
+
+
+def setting(pair):
+    return 2 * pair.alice + pair.bob
+
+
+def table_correlations(table):
+    """Per setting pair: (correlation, coincidence probability) of a one-phase table."""
+    out = {}
+    for pair in SettingPair:
+        c = outcomes(table)[0, setting(pair), :2, :2]
+        out[pair] = ((c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / c.sum(), c.sum())
+    return out
+
+
+def column_table(column):
+    """A {(alice, bob): p} column as a 4x4 outcome-code table."""
+    out = np.zeros((4, 4))
+    for (out_a, out_b), p in column.items():
+        out[CODE[out_a], CODE[out_b]] += p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +119,34 @@ class TestTable1(object):
     def test_sampling_frequencies(self, standard_settings):
         spec = ExistingModelSpec(0.6)
         strategy = ExistingStrategy(spec, standard_settings)
-        n = 100_000
-        idx = strategy.emit_batch(n, 0, np.random.default_rng(31))
-        counts = np.bincount(idx, minlength=16)
         for k, (_, _, sim) in enumerate(strategy.cells):
-            p = spec.n_sim / 4.0 if sim else spec.n_dif / 4.0
-            se = math.sqrt(p * (1.0 - p) / n)
-            assert abs(counts[k] / n - p) <= 3.0 * se
+            assert strategy.weights[k] == (spec.n_sim / 4.0 if sim else spec.n_dif / 4.0)
+        assert strategy.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_sampled_similar_different_ratio(self, standard_settings):
         strategy = ExistingStrategy(ExistingModelSpec(1.0 / SQRT2), standard_settings)
-        idx = strategy.emit_batch(400_000, 0, np.random.default_rng(32))
-        sim_mask = np.array([sim for _, _, sim in strategy.cells])[idx]
-        ratio = sim_mask.sum() / (~sim_mask).sum()
-        assert ratio == pytest.approx(3.0 + 2.0 * SQRT2, abs=0.06)
+        sim_mask = np.array([sim for _, _, sim in strategy.cells])
+        ratio = strategy.weights[sim_mask].sum() / strategy.weights[~sim_mask].sum()
+        assert ratio == pytest.approx(3.0 + 2.0 * SQRT2, rel=1e-12)
 
     def test_perfect_target_emits_only_similar_cells(self, standard_settings):
         strategy = ExistingStrategy(ExistingModelSpec(1.0), standard_settings)
-        idx = strategy.emit_batch(20_000, 0, np.random.default_rng(33))
-        sim_mask = np.array([sim for _, _, sim in strategy.cells])[idx]
-        assert sim_mask.all()
+        sim_mask = np.array([sim for _, _, sim in strategy.cells])
+        assert not strategy.weights[~sim_mask].any()
 
-    def test_scalar_emit(self, standard_settings, rng):
-        pulse = existing_emit(ExistingModelSpec(0.5), standard_settings, rng)
-        assert pulse.alice_intensity == 1.0
-        assert pulse.bob_intensity == 1.0
-        assert pulse.alice_pol is not None
+    def test_scalar_emit(self, standard_settings):
+        """Every cell is a threshold-intensity pulse pair in the setting bases:
+        certain to click one detector on basis match, silent on mismatch."""
+        strategy = ExistingStrategy(ExistingModelSpec(0.5), standard_settings)
+        alice, bob = strategy.responses(StationConfig.from_settings(standard_settings))
+        for k, (pa, pb, _) in enumerate(strategy.cells):
+            for response, pol, angles in (
+                (alice[k], pa, (standard_settings.alpha0, standard_settings.alpha1)),
+                (bob[k], pb, (standard_settings.beta0, standard_settings.beta1)),
+            ):
+                for basis, angle in enumerate(angles):
+                    conclusive = response[basis, OUT_PLUS] + response[basis, OUT_MINUS]
+                    assert conclusive == (1.0 if pol.separation_to(angle) in (0.0, 90.0) else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,49 +176,59 @@ class TestImprovedModelSpec:
 
 class TestImprovedEmission:
     def test_pure_method_one(self, standard_settings):
-        rng = np.random.default_rng(41)
-        spec = ImprovedModelSpec.for_settings(0.0, standard_settings)
-        for _ in range(20):
-            emission = improved_emit(spec, standard_settings, rng)
-            assert not emission.method2
-            assert emission.pulse.alice_intensity == 1.0
+        improved = compiled(ImprovedModelSpec.for_settings(0.0, standard_settings), standard_settings)
+        forcing = compiled(ExistingModelSpec(1.0), standard_settings)
+        assert np.array_equal(improved, forcing)
 
     def test_pure_method_two_sends_midpoints(self, standard_settings):
-        rng = np.random.default_rng(42)
         spec = ImprovedModelSpec.for_settings(1.0, standard_settings)
-        emission = improved_emit(spec, standard_settings, rng)
-        assert emission.method2
-        assert emission.pulse.alice_pol == Angle(22.5)
-        assert emission.pulse.bob_pol == Angle(45.0)
-        assert emission.pulse.alice_intensity == pytest.approx(spec.trigger_intensity)
+        i = spec.trigger_intensity
+        mid_a = pulse_response(22.5, i, (0.0, 45.0), STEP, DoubleClickPolicy.DISCARD)
+        mid_b = pulse_response(45.0, i, (22.5, 67.5), STEP, DoubleClickPolicy.DISCARD)
+        swap = [1, 0, 2, 3, 5, 4, 6, 7]
+        want = 0.5 * (np.einsum("ak,bl->abkl", mid_a, mid_b)
+                      + np.einsum("ak,bl->abkl", mid_a[:, swap], mid_b[:, swap]))
+        got = compiled(spec, standard_settings)
+        np.testing.assert_allclose(got[0], want.reshape(4, N_STATES, N_STATES), rtol=0, atol=1e-15)
 
-    def test_midpoint_pulse_always_conclusive(self, standard_settings, rng):
-        spec = ImprovedModelSpec.for_settings(1.0, standard_settings)
-        emission = improved_emit(spec, standard_settings, rng)
-        for basis in (standard_settings.alpha0, standard_settings.alpha1):
-            result = analyze(emission.pulse.alice_pol, emission.pulse.alice_intensity,
-                             basis, STEP, STEP, DoubleClickPolicy.DISCARD, rng)
-            assert result.outcome is Outcome.PLUS
+    def test_midpoint_pulse_always_conclusive(self, standard_settings):
+        table = outcomes(compiled(ImprovedModelSpec.for_settings(1.0, standard_settings), standard_settings))
+        for s in range(4):
+            assert table[0, s, :2, :2].sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSymmetrize:
-    def test_joint_flip_preserves_product(self):
-        rng = np.random.default_rng(43)
-        for _ in range(200):
-            pair = (P, P)
-            out = symmetrize(pair, rng)
-            assert out in {(P, P), (M, M)}
+    """The midpoint pulse enters twice, the second time with both signs swapped."""
 
-    def test_flip_fraction_is_half(self):
-        rng = np.random.default_rng(44)
-        flipped = sum(symmetrize((P, P), rng) == (M, M) for _ in range(20_000))
-        assert abs(flipped / 20_000 - 0.5) < 0.01
+    def test_joint_flip_preserves_product(self, standard_settings):
+        table = outcomes(compiled(ImprovedModelSpec.for_settings(1.0, standard_settings), standard_settings))
+        for s in range(4):
+            assert table[0, s, 0, 1] == table[0, s, 1, 0] == 0.0
+            assert table[0, s, 0, 0] + table[0, s, 1, 1] == pytest.approx(1.0, abs=1e-15)
 
-    def test_inconclusive_unchanged(self):
-        rng = np.random.default_rng(45)
-        for _ in range(50):
-            out = symmetrize((P, Q), rng)
-            assert out[1] is Q
+    def test_flip_fraction_is_half(self, standard_settings):
+        table = outcomes(compiled(ImprovedModelSpec.for_settings(1.0, standard_settings), standard_settings))
+        for s in range(4):
+            assert table[0, s, 1, 1] == pytest.approx(0.5, abs=1e-15)
+            assert table[0, s, 0, 0] == pytest.approx(0.5, abs=1e-15)
+
+    def test_inconclusive_unchanged(self, standard_settings):
+        # A noisy detector lets the midpoint pulse miss; the flip must leave
+        # those inconclusive outcomes where they were.
+        detector = TwoThreshold(1.0, 2.0)
+        spec = ImprovedModelSpec.for_settings(1.0, standard_settings)
+        table = outcomes(compiled(spec, standard_settings, detector))[0]
+        i = spec.trigger_intensity
+        mid_a = pulse_response(22.5, i, (0.0, 45.0), detector, DoubleClickPolicy.DISCARD)
+        mid_b = pulse_response(45.0, i, (22.5, 67.5), detector, DoubleClickPolicy.DISCARD)
+        for pair in SettingPair:
+            t = table[setting(pair)]
+            q_a, q_b = mid_a[pair.alice, OUT_INCONCLUSIVE], mid_b[pair.bob, OUT_INCONCLUSIVE]
+            assert 0.0 < q_a < 1.0
+            assert t[OUT_INCONCLUSIVE].sum() == pytest.approx(q_a, abs=1e-15)
+            assert t[:, OUT_INCONCLUSIVE].sum() == pytest.approx(q_b, abs=1e-15)
+            assert t[OUT_INCONCLUSIVE, OUT_INCONCLUSIVE] == pytest.approx(q_a * q_b, abs=1e-15)
+            assert t[OUT_INCONCLUSIVE, OUT_PLUS] == pytest.approx(t[OUT_INCONCLUSIVE, OUT_MINUS], abs=1e-15)
 
     def test_method_two_run_balances_similar_outcomes(self, standard_settings):
         spec = ImprovedModelSpec.for_settings(1.0, standard_settings)
@@ -244,12 +288,19 @@ class TestControlPulseFor:
         pol, intensity = control_pulse_for(ControlRow.VACUUM, 0.9, 0.4, self.ANGLES)
         assert pol is None and intensity == 0.0
 
-    def test_row_sampling_frequencies(self):
-        rng = np.random.default_rng(51)
+    def test_row_sampling_frequencies(self, standard_settings):
         a, b = 0.9, 0.4
-        draws = [control_pulse_for(None, a, b, self.ANGLES, rng) for _ in range(8000)]
-        vacuum = sum(pol is None for pol, _ in draws) / len(draws)
-        assert abs(vacuum - (1.0 - a)) < 0.015
+        assert control_row_probabilities(a, b) == pytest.approx((a - b, b / 2, b / 2, 1 - a), abs=1e-15)
+        # Weighted by those rows, the controlled party (Alice, no role
+        # reversal) is conclusive with probability a on basis match and
+        # splits b evenly between the ports on mismatch.
+        spec = PerfectModelSpec(a, b, mode=PerfectMode.PHYSICAL_PULSES, role_reversal=False)
+        table = outcomes(compiled(spec, standard_settings))[0]
+        for pair in SettingPair:
+            alice = table[setting(pair)].sum(axis=1)
+            # Averaged over the two labels: one matches Alice's basis, one not.
+            want = 0.5 * np.array([a + b / 2, b / 2, (1 - a) + (1 - b), 0.0])
+            np.testing.assert_allclose(alice, want, rtol=0, atol=1e-15)
 
     def test_a_below_b_rejected(self):
         with pytest.raises(ValidationError):
@@ -260,7 +311,7 @@ class TestControlPulseFor:
         with pytest.raises(InfeasibleGeometry):
             control_pulse_for(ControlRow.MIDPOINT_UP, 0.9, 0.4, perpendicular)
 
-    def test_row_outcomes_through_the_analyzer(self, rng):
+    def test_row_outcomes_through_the_analyzer(self):
         """Each control row forces its documented outcome pattern."""
         base, other = self.ANGLES
         cases = {
@@ -271,13 +322,10 @@ class TestControlPulseFor:
         }
         for row, (on_match, on_mismatch) in cases.items():
             pol, intensity = control_pulse_for(row, 0.9, 0.4, self.ANGLES)
-            got_match = analyze(pol, intensity, base, STEP, STEP,
-                                DoubleClickPolicy.FLAG, rng)
-            got_mismatch = analyze(pol, intensity, other, STEP, STEP,
-                                   DoubleClickPolicy.FLAG, rng)
-            assert got_match.outcome is on_match, row
-            assert got_mismatch.outcome is on_mismatch, row
-            assert not got_match.double_click and not got_mismatch.double_click
+            got = pulse_response(0.0 if pol is None else pol.degrees, intensity,
+                                 (base.degrees, other.degrees), STEP, DoubleClickPolicy.FLAG)
+            assert got[0, CODE[on_match]] == 1.0, row
+            assert got[1, CODE[on_mismatch]] == 1.0, row
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +392,12 @@ class TestPerfectNoSignalling:
 class TestPerfectSampling:
     def test_analytic_sampler_matches_columns(self, standard_settings):
         a, b = A_THRESHOLD, B_THRESHOLD
-        spec = PerfectModelSpec(a, b, role_reversal=False)
-        strategy = PerfectStrategy(spec, standard_settings)
-        stations = StationConfig.from_settings(standard_settings)
-        rng = np.random.default_rng(61)
-        n = 160_000
-        batch = strategy.emit_batch(n, 0, rng)
-        code_of = {P: 0, M: 1, Q: 2}
+        table = outcomes(compiled(PerfectModelSpec(a, b, role_reversal=False), standard_settings))
+        assert table.shape == (1, 4, 4, 4)
         for i in (0, 1):
             for j in (0, 1):
-                out = strategy.resolve_batch(
-                    batch, np.full(n, i, dtype=np.int8), np.full(n, j, dtype=np.int8),
-                    stations, rng,
-                )
-                for label in (0, 1):
-                    mask = batch.label == label
-                    n_label = int(mask.sum())
-                    want = expected_column(label, i, j, a, b)
-                    for (out_a, out_b), p in want.items():
-                        hits = int(np.sum(mask & (out.alice == code_of[out_a])
-                                          & (out.bob == code_of[out_b])))
-                        se = math.sqrt(p * (1.0 - p) / n_label)
-                        assert abs(hits / n_label - p) <= 3.0 * se, (label, i, j, out_a, out_b)
+                want = 0.5 * sum(column_table(expected_column(label, i, j, a, b)) for label in (0, 1))
+                np.testing.assert_allclose(table[0, 2 * i + j], want, rtol=0, atol=1e-15)
 
     def test_role_reversal_symmetrizes_efficiencies(self, standard_settings):
         a, b = A_THRESHOLD, B_THRESHOLD
@@ -424,41 +456,45 @@ class TestPerfectSampling:
 
 
 class TestPerfectEmit:
-    def test_plan_fields(self, standard_settings, rng):
-        plan = perfect_emit(PerfectModelSpec(0.9, 0.4), standard_settings, rng)
-        assert plan.label in (0, 1)
-        assert plan.hidden_u is not None and plan.row is None
-        assert not plan.role_reversed  # trial 0 is not reversed
-
-        plan_odd = perfect_emit(PerfectModelSpec(0.9, 0.4), standard_settings, rng, trial_index=1)
-        assert plan_odd.role_reversed
+    def test_plan_fields(self, standard_settings):
+        # Role reversal alternates the controlled party with the trial
+        # index: phase 0 (even trials) controls Alice, phase 1 Bob, and the
+        # deterministic party is always conclusive.
+        table = outcomes(compiled(PerfectModelSpec(0.9, 0.4), standard_settings))
+        assert table.shape == (2, 4, 4, 4)
+        assert not table[0, :, :, 2:].any()
+        assert not table[1, :, 2:, :].any()
+        assert table[0, :, 2, :].any() and table[1, :, :, 2].any()
+        plain = outcomes(compiled(PerfectModelSpec(0.9, 0.4, role_reversal=False), standard_settings))
+        assert np.array_equal(plain, table[:1])
 
     def test_analytic_resolution_stays_in_column_support(self, standard_settings):
-        rng = np.random.default_rng(66)
         a, b = 0.9, 0.4
-        spec = PerfectModelSpec(a, b, role_reversal=False)
-        seen = set()
-        for _ in range(400):
-            plan = perfect_emit(spec, standard_settings, rng)
-            outcome = plan.resolve(SettingPair.A1B0, rng)
-            support = set(expected_column(plan.label, 1, 0, a, b))
-            assert outcome in support
-            seen.add((plan.label, outcome))
-        assert (0, (M, P)) in seen  # the random-mismatch branch occurred
+        table = outcomes(compiled(PerfectModelSpec(a, b, role_reversal=False), standard_settings))
+        got = table[0, setting(SettingPair.A1B0)]
+        support = sum(column_table(expected_column(label, 1, 0, a, b)) for label in (0, 1)) > 0
+        assert not got[~support].any()
+        assert got[CODE[M], CODE[P]] > 0.0  # the random-mismatch branch occurs
 
     def test_physical_plan_exposes_control_pulse(self, standard_settings):
-        rng = np.random.default_rng(67)
-        spec = PerfectModelSpec(0.9, 0.4, mode=PerfectMode.PHYSICAL_PULSES)
-        rows = set()
-        for _ in range(200):
-            plan = perfect_emit(spec, standard_settings, rng)
-            rows.add(plan.row)
-            pol, intensity = plan.control_pulse
-            if plan.row is ControlRow.VACUUM:
-                assert pol is None and intensity == 0.0
-            else:
-                assert intensity > 0.0
-        assert ControlRow.PLAIN_ALIGNED in rows and ControlRow.VACUUM in rows
+        """The physical table is built from control_pulse_for's pulses."""
+        a, b = 0.9, 0.4
+        spec = PerfectModelSpec(a, b, mode=PerfectMode.PHYSICAL_PULSES, role_reversal=False)
+        table = compiled(spec, standard_settings, policy=DoubleClickPolicy.FLAG)[0]
+        angles = (standard_settings.alpha0, standard_settings.alpha1)
+        probs = control_row_probabilities(a, b)
+        for basis in (0, 1):
+            want = np.zeros(N_STATES)
+            for label in (0, 1):
+                for row, p in zip(ControlRow, probs):
+                    pol, intensity = control_pulse_for(row, a, b, (angles[label], angles[1 - label]))
+                    want += 0.5 * p * pulse_response(
+                        0.0 if pol is None else pol.degrees, intensity,
+                        angles[basis].degrees, STEP, DoubleClickPolicy.FLAG,
+                    )
+            for bob in (0, 1):
+                alice = table[2 * basis + bob].sum(axis=1)
+                np.testing.assert_allclose(alice, want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +573,18 @@ class TestQuantumOracle:
 
 class TestQuantumEmission:
     def test_zero_efficiency_is_always_inconclusive(self, standard_settings):
-        rng = np.random.default_rng(72)
-        plan = quantum_emit(bell_phi_plus(), standard_settings, 0.0, rng)
-        for pair in SettingPair:
-            for _ in range(20):
-                assert plan.resolve(pair, rng) == (Q, Q)
+        table = compiled(QuantumSpec(bell_phi_plus(), eta_true=0.0), standard_settings)
+        for s in range(4):
+            assert table[0, s, OUT_INCONCLUSIVE, OUT_INCONCLUSIVE] == 1.0
+            assert table[0, s].sum() == 1.0
 
     def test_unit_efficiency_same_basis_agrees(self):
         settings = MeasurementSettings.from_degrees(30.0, 75.0, 30.0, 75.0)
-        rng = np.random.default_rng(73)
-        plan = quantum_emit(bell_phi_plus(), settings, 1.0, rng)
-        for _ in range(200):
-            out_a, out_b = plan.resolve(SettingPair.A0B0, rng)
-            assert out_a is out_b and out_a in (P, M)
+        table = outcomes(compiled(QuantumSpec(bell_phi_plus(), eta_true=1.0), settings))
+        a0b0 = table[0, setting(SettingPair.A0B0)]
+        assert a0b0[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert a0b0[1, 1] == pytest.approx(0.5, abs=1e-12)
+        assert a0b0.sum() - a0b0[0, 0] - a0b0[1, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_erasure_rate_shows_up_in_coincidences(self, standard_settings):
         summary = run(RunConfig(
