@@ -10,12 +10,19 @@ counts from that table.
 The local strategies state their locality structure once, in
 :func:`_local_table`: the emission weights cannot see the settings, and
 each party's response depends only on the emission and its own basis.
+
+The pulse strategies split each table into weight-free components that
+hold all the pulse physics and depend only on the geometry and the
+stations, and a weight per component taken from the spec. The components
+are cached per (settings, stations, ...) and read-only; a table is their
+weighted sum, so a sweep over the weights evaluates the physics once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,7 +205,10 @@ class QuantumSpec:
 
 @dataclass(frozen=True)
 class StationConfig:
-    """The measurement-side configuration shared by all trials of a run."""
+    """The measurement-side configuration shared by all trials of a run.
+
+    Frozen and compared by value, so it keys the strategies' component caches.
+    """
 
     alice_deg: tuple[float, float]
     bob_deg: tuple[float, float]
@@ -229,17 +239,33 @@ class StationConfig:
 
 
 def _local_table(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Joint table (4 settings, 8, 8) of a local mixture.
+    """Joint table (..., 4 settings, 8, 8) of a local mixture.
 
-    ``w`` (E,) weighs the emissions and cannot depend on the settings;
-    ``alice`` and ``bob`` (E, 2 bases, 8) give each party's state
-    distribution from the emission and its own basis alone.
+    ``w`` (..., E) weighs the emissions and cannot depend on the settings;
+    leading axes give one table per weighting. ``alice`` and ``bob``
+    (E, 2 bases, 8) give each party's state distribution from the
+    emission and its own basis alone.
     """
-    return np.einsum("e,eak,ebl->abkl", w, alice, bob).reshape(4, N_STATES, N_STATES)
+    return np.einsum("...e,eak,ebl->...abkl", w, alice, bob).reshape(
+        w.shape[:-1] + (4, N_STATES, N_STATES)
+    )
+
+
+#: Geometries (settings, stations and pulse parameters) kept per cached builder.
+_CACHE_SIZE = 64
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only: every caller shares it."""
+    array.setflags(write=False)
+    return array
 
 
 #: Swaps "+" and "-" and keeps whether both detectors fired.
 _SWAP_SIGNS = np.array([1, 0, 2, 3, 5, 4, 6, 7])
+
+#: Two emissions drawn with equal probability.
+_HALVES = _frozen(np.array([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,31 +300,61 @@ def source_polarization_cells(settings: MeasurementSettings) -> list[tuple[Angle
     ]
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _existing_components(settings: MeasurementSettings, stations: StationConfig) -> np.ndarray:
+    """The similar and the different cells' tables, (2, 1 phase, 4, 8, 8).
+
+    Every cell is a threshold-intensity pulse pair in its polarizations
+    and enters its role's table at weight 1/4, so ``(n_sim, n_dif)``
+    weighs the two tables into the source's.
+    """
+    cells = source_polarization_cells(settings)
+    alice = stations.response([pa.degrees for pa, _, _ in cells], 1.0, alice=True)
+    bob = stations.response([pb.degrees for _, pb, _ in cells], 1.0, alice=False)
+    similar = np.array([sim for _, _, sim in cells])
+    return _frozen(_local_table(0.25 * np.array([similar, ~similar]), alice, bob)[:, None])
+
+
 class ExistingStrategy:
     """Forces outcomes by emitting threshold-intensity pulses in setting bases."""
 
     def __init__(self, spec: ExistingModelSpec, settings: MeasurementSettings):
         self.spec = spec
         self.settings = settings
-        self.cells = source_polarization_cells(settings)
-        self.weights = np.array(
-            [spec.n_sim / 4.0 if sim else spec.n_dif / 4.0 for _, _, sim in self.cells]
-        )
+        self.weights = np.array([spec.n_sim, spec.n_dif])
         self.label = f"existing(e_target={spec.e_target:.12g})"
 
-    def responses(self, stations: StationConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Each party's state distribution per cell and basis, (16, 2, 8) each."""
-        pol_a = [pa.degrees for pa, _, _ in self.cells]
-        pol_b = [pb.degrees for _, pb, _ in self.cells]
-        return stations.response(pol_a, 1.0, alice=True), stations.response(pol_b, 1.0, alice=False)
-
     def joint_table(self, stations: StationConfig) -> np.ndarray:
-        return _local_table(self.weights, *self.responses(stations))[None]
+        return np.tensordot(self.weights, _existing_components(self.settings, stations), 1)
 
 
 # ---------------------------------------------------------------------------
 # Improved model: probabilistic mixture with midpoint pulses
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _improved_components(
+    settings: MeasurementSettings, stations: StationConfig, trigger_intensity: float
+) -> np.ndarray:
+    """The forced and the midpoint tables, (2, 1 phase, 4, 8, 8).
+
+    Forcing is the existing model at ``e_target = 1``. The midpoint pulse
+    enters twice at weight 1/2, the second time with both parties' signs
+    swapped: the joint flip balances ++ against -- while leaving every
+    correlation at +1.
+    """
+    forced = ExistingStrategy(ExistingModelSpec(1.0), settings).joint_table(stations)
+    mid_a = stations.response(
+        settings.alpha0.midpoint_toward(settings.alpha1).degrees, trigger_intensity, alice=True
+    )
+    mid_b = stations.response(
+        settings.beta0.midpoint_toward(settings.beta1).degrees, trigger_intensity, alice=False
+    )
+    midpoints = _local_table(
+        _HALVES, np.array([mid_a, mid_a[:, _SWAP_SIGNS]]), np.array([mid_b, mid_b[:, _SWAP_SIGNS]])
+    )
+    return _frozen(np.array([forced, midpoints[None]]))
 
 
 class ImprovedStrategy:
@@ -307,25 +363,14 @@ class ImprovedStrategy:
     def __init__(self, spec: ImprovedModelSpec, settings: MeasurementSettings):
         self.spec = spec
         self.settings = settings
-        self._method1 = ExistingStrategy(ExistingModelSpec(1.0), settings)
-        self._mid_a = settings.alpha0.midpoint_toward(settings.alpha1).degrees
-        self._mid_b = settings.beta0.midpoint_toward(settings.beta1).degrees
+        self.weights = np.array([1.0 - spec.p2, spec.p2])
         self.label = (
             f"improved(p2={spec.p2:.12g}, trigger={spec.trigger_intensity:.12g})"
         )
 
     def joint_table(self, stations: StationConfig) -> np.ndarray:
-        # The midpoint pulse enters twice at p2/2, the second time with
-        # both parties' signs swapped: the joint flip balances ++ against
-        # -- while leaving every correlation at +1.
-        p2, trigger = self.spec.p2, self.spec.trigger_intensity
-        forced_a, forced_b = self._method1.responses(stations)
-        mid_a = stations.response(self._mid_a, trigger, alice=True)
-        mid_b = stations.response(self._mid_b, trigger, alice=False)
-        w = np.concatenate([(1.0 - p2) * self._method1.weights, [p2 / 2.0, p2 / 2.0]])
-        alice = np.concatenate([forced_a, [mid_a, mid_a[:, _SWAP_SIGNS]]])
-        bob = np.concatenate([forced_b, [mid_b, mid_b[:, _SWAP_SIGNS]]])
-        return _local_table(w, alice, bob)[None]
+        components = _improved_components(self.settings, stations, self.spec.trigger_intensity)
+        return np.tensordot(self.weights, components, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +474,24 @@ def control_pulse_for(
     :class:`InfeasibleGeometry`. Requires ``a >= b``.
     """
     control_row_probabilities(a, b)
-    if target_behavior is ControlRow.VACUUM:
+    return _control_pulse(target_behavior, *alice_angles)
+
+
+def _control_pulse(row: ControlRow, base: Angle, other: Angle) -> tuple[Angle | None, float]:
+    if row is ControlRow.VACUUM:
         return None, 0.0
-    base, other = alice_angles
     phi0 = base.separation_to(other) / 2.0
     phi1 = base.separation_to(other.perpendicular()) / 2.0
-    window = feasible_intensity_window(target_behavior, phi0, phi1)
+    window = feasible_intensity_window(row, phi0, phi1)
     if window is None:
         raise InfeasibleGeometry(
-            f"no intensity satisfies row {target_behavior.value} for "
+            f"no intensity satisfies row {row.value} for "
             f"phi0={phi0:g} deg, phi1={phi1:g} deg"
         )
     intensity = (window[0] + window[1]) / 2.0
-    if target_behavior is ControlRow.PLAIN_ALIGNED:
+    if row is ControlRow.PLAIN_ALIGNED:
         return base, intensity
-    if target_behavior is ControlRow.MIDPOINT_UP:
+    if row is ControlRow.MIDPOINT_UP:
         return base.midpoint_toward(other), intensity
     return base.midpoint_toward(other.perpendicular()), intensity
 
@@ -453,85 +501,127 @@ def control_pulse_for(
 # ---------------------------------------------------------------------------
 
 
+def _orientations(role_reversal: bool) -> tuple[bool, ...]:
+    """Whether roles are reversed in each trial-parity phase."""
+    return (False, True) if role_reversal else (False,)
+
+
+def _deterministic(reversed_: bool) -> np.ndarray:
+    """The other party's certain outcome per label and basis, (2, 2, 8).
+
+    Keyed so the subtracted CHSH setting is the anti-correlated one in
+    both orientations: the plain table puts the minus on (source 0,
+    basis 1) at Bob; with roles reversed it must sit on (source 1,
+    basis 0) at Alice, the transpose, or the reversed trials would
+    cancel the plain trials' correlation at the subtracted setting.
+    """
+    codes = np.full((2, 2), OUT_PLUS)
+    codes[(1, 0) if reversed_ else (0, 1)] = OUT_MINUS
+    return np.eye(N_STATES)[codes]
+
+
+def _perfect_phase(w: np.ndarray, controlled: np.ndarray, reversed_: bool) -> np.ndarray:
+    """One phase's table(s) of emissions ordered by label first.
+
+    ``controlled`` (E, 2 bases, 8) is the controlled party's state
+    distribution per emission; the first half of the emissions carry
+    label 0, the second half label 1. ``w`` weighs them as in
+    :func:`_local_table`.
+    """
+    det = np.repeat(_deterministic(reversed_), len(controlled) // 2, axis=0)
+    alice, bob = (det, controlled) if reversed_ else (controlled, det)
+    return _local_table(w, alice, bob)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _control_geometry(
+    settings: MeasurementSettings, role_reversal: bool
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, str], ...]]:
+    """The controlled side's pulses per side (0 = Alice, 1 = Bob) x label x row.
+
+    Returns their polarizations and intensities, (2, 2, 4) each, and the
+    (row index, reason) of every pulse the angles cannot support, in side,
+    label, row order. Such a pulse is left as vacuum.
+    """
+    parties = ((settings.alpha0, settings.alpha1), (settings.beta0, settings.beta1))
+    pol = np.zeros((2, 2, len(CONTROL_ROWS)))
+    intensity = np.zeros_like(pol)
+    infeasible = []
+    for reversed_ in _orientations(role_reversal):
+        side = int(reversed_)
+        angles = parties[side]
+        for label in (0, 1):
+            for k, row in enumerate(CONTROL_ROWS):
+                try:
+                    p, i = _control_pulse(row, angles[label], angles[1 - label])
+                except InfeasibleGeometry as exc:
+                    infeasible.append((k, str(exc)))
+                    continue
+                if math.isinf(i):  # an unbounded window has no midpoint to send
+                    infeasible.append((k, f"row {row.value} has no finite intensity here"))
+                    continue
+                pol[side, label, k] = 0.0 if p is None else p.degrees
+                intensity[side, label, k] = i
+    return _frozen(pol), _frozen(intensity), tuple(infeasible)
+
+
+#: Per control row, the weights of the (label, row) emissions that make
+#: up its component: 1/2 for each label, on that row only.
+_ROW_COMPONENTS = _frozen(0.5 * np.tile(np.eye(len(CONTROL_ROWS)), 2))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _perfect_components(
+    settings: MeasurementSettings, stations: StationConfig, role_reversal: bool
+) -> np.ndarray:
+    """The table of each control row alone, (4 rows, phases, 4, 8, 8)."""
+    pol, intensity, _ = _control_geometry(settings, role_reversal)
+    phases = []
+    for reversed_ in _orientations(role_reversal):
+        side = int(reversed_)
+        controlled = stations.response(pol[side], intensity[side], alice=not reversed_)
+        phases.append(_perfect_phase(
+            _ROW_COMPONENTS, controlled.reshape(-1, 2, N_STATES), reversed_
+        ))
+    return _frozen(np.stack(phases, axis=1))
+
+
 class PerfectStrategy:
     """Source emitting one of two setting-basis labels, with one controlled party.
 
     With role reversal the controlled party alternates with the trial
     index (even trials control Alice, odd trials Bob), so the table has
-    one phase per parity.
+    one phase per parity. In physical mode the control rows weigh the
+    rows' pulse tables; a row with positive probability must be feasible.
     """
 
     def __init__(self, spec: PerfectModelSpec, settings: MeasurementSettings):
         self.spec = spec
         self.settings = settings
         if spec.mode is PerfectMode.PHYSICAL_PULSES:
-            self._row_probs = np.array(control_row_probabilities(spec.a, spec.b))
-            self._build_pulse_tables()
+            self.weights = np.array(control_row_probabilities(spec.a, spec.b))
+            for k, reason in _control_geometry(settings, spec.role_reversal)[2]:
+                if self.weights[k] > 0.0:
+                    raise InfeasibleGeometry(reason)
         self.label = (
             f"perfect(a={spec.a:.12g}, b={spec.b:.12g}, mode={spec.mode.value}, "
             f"role_reversal={spec.role_reversal})"
         )
 
-    def _build_pulse_tables(self) -> None:
-        # pol/intensity per (controlled party: 0=alice, 1=bob) x label x row.
-        geometries = [
-            (self.settings.alpha0, self.settings.alpha1),
-            (self.settings.beta0, self.settings.beta1),
-        ]
-        sides = (0, 1) if self.spec.role_reversal else (0,)
-        pol = np.zeros((2, 2, 4))
-        inten = np.zeros((2, 2, 4))
-        for side in sides:
-            angles = geometries[side]
-            for label in (0, 1):
-                base, other = angles[label], angles[1 - label]
-                for k, row in enumerate(CONTROL_ROWS):
-                    if self._row_probs[k] == 0.0 and row is not ControlRow.VACUUM:
-                        continue  # unreachable row; geometry need not support it
-                    p, i = control_pulse_for(row, self.spec.a, self.spec.b, (base, other))
-                    pol[side, label, k] = 0.0 if p is None else p.degrees
-                    inten[side, label, k] = i
-        self._pol_table = pol
-        self._int_table = inten
-
-    def _controlled(self, stations: StationConfig, reversed_: bool) -> np.ndarray:
-        """The controlled party's state distribution per label and basis, (2, 2, 8)."""
+    def joint_table(self, stations: StationConfig) -> np.ndarray:
         if self.spec.mode is PerfectMode.PHYSICAL_PULSES:
-            side = int(reversed_)
-            per_row = stations.response(
-                self._pol_table[side], self._int_table[side], alice=not reversed_
-            )
-            return np.einsum("r,lrck->lck", self._row_probs, per_row)
+            components = _perfect_components(self.settings, stations, self.spec.role_reversal)
+            return np.tensordot(self.weights, components, 1)
         a, b = self.spec.a, self.spec.b
         match = np.zeros(N_STATES)
         match[[OUT_PLUS, OUT_INCONCLUSIVE]] = a, 1.0 - a
         mismatch = np.zeros(N_STATES)
         mismatch[[OUT_PLUS, OUT_MINUS, OUT_INCONCLUSIVE]] = b / 2.0, b / 2.0, 1.0 - b
-        return np.array([[match, mismatch], [mismatch, match]])
-
-    @staticmethod
-    def _deterministic(reversed_: bool) -> np.ndarray:
-        """The other party's certain outcome per label and basis, (2, 2, 8).
-
-        Keyed so the subtracted CHSH setting is the anti-correlated one in
-        both orientations: the plain table puts the minus on (source 0,
-        basis 1) at Bob; with roles reversed it must sit on (source 1,
-        basis 0) at Alice, the transpose, or the reversed trials would
-        cancel the plain trials' correlation at the subtracted setting.
-        """
-        codes = np.full((2, 2), OUT_PLUS)
-        codes[(1, 0) if reversed_ else (0, 1)] = OUT_MINUS
-        return np.eye(N_STATES)[codes]
-
-    def joint_table(self, stations: StationConfig) -> np.ndarray:
-        w = np.array([0.5, 0.5])
-        tables = []
-        for reversed_ in (False, True) if self.spec.role_reversal else (False,):
-            ctrl = self._controlled(stations, reversed_)
-            det = self._deterministic(reversed_)
-            alice, bob = (det, ctrl) if reversed_ else (ctrl, det)
-            tables.append(_local_table(w, alice, bob))
-        return np.stack(tables)
+        controlled = np.array([[match, mismatch], [mismatch, match]])
+        return np.stack([
+            _perfect_phase(_HALVES, controlled, reversed_)
+            for reversed_ in _orientations(self.spec.role_reversal)
+        ])
 
 
 def perfect_joint_distribution(

@@ -83,6 +83,20 @@ def table_correlations(table):
     return out
 
 
+def cell_tables(settings):
+    """Each existing-model source cell's joint table at threshold intensity,
+    (16, 4 settings, 8, 8), and whether the cell is similar."""
+    tables, similar = [], []
+    for pa, pb, sim in source_polarization_cells(settings):
+        alice = pulse_response(pa.degrees, 1.0, (settings.alpha0.degrees, settings.alpha1.degrees),
+                               STEP, DoubleClickPolicy.DISCARD)
+        bob = pulse_response(pb.degrees, 1.0, (settings.beta0.degrees, settings.beta1.degrees),
+                             STEP, DoubleClickPolicy.DISCARD)
+        tables.append(np.einsum("ak,bl->abkl", alice, bob).reshape(4, N_STATES, N_STATES))
+        similar.append(sim)
+    return np.array(tables), np.array(similar)
+
+
 def column_table(column):
     """A {(alice, bob): p} column as a 4x4 outcome-code table."""
     out = np.zeros((4, 4))
@@ -117,33 +131,38 @@ class TestTable1(object):
         assert sum(sim for _, _, sim in cells) == 8
 
     def test_sampling_frequencies(self, standard_settings):
+        """Each similar cell is emitted with probability n_sim/4, each different one n_dif/4."""
         spec = ExistingModelSpec(0.6)
-        strategy = ExistingStrategy(spec, standard_settings)
-        for k, (_, _, sim) in enumerate(strategy.cells):
-            assert strategy.weights[k] == (spec.n_sim / 4.0 if sim else spec.n_dif / 4.0)
-        assert strategy.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        tables, similar = cell_tables(standard_settings)
+        want = np.einsum("c,cskl->skl", np.where(similar, spec.n_sim, spec.n_dif) / 4.0, tables)
+        got = compiled(spec, standard_settings)
+        assert got.shape == (1, 4, N_STATES, N_STATES)
+        np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got.sum(axis=(2, 3)), 1.0, rtol=0, atol=1e-15)
 
     def test_sampled_similar_different_ratio(self, standard_settings):
         strategy = ExistingStrategy(ExistingModelSpec(1.0 / SQRT2), standard_settings)
-        sim_mask = np.array([sim for _, _, sim in strategy.cells])
-        ratio = strategy.weights[sim_mask].sum() / strategy.weights[~sim_mask].sum()
-        assert ratio == pytest.approx(3.0 + 2.0 * SQRT2, rel=1e-12)
+        n_sim, n_dif = strategy.weights
+        assert n_sim / n_dif == pytest.approx(3.0 + 2.0 * SQRT2, rel=1e-12)
 
     def test_perfect_target_emits_only_similar_cells(self, standard_settings):
         strategy = ExistingStrategy(ExistingModelSpec(1.0), standard_settings)
-        sim_mask = np.array([sim for _, _, sim in strategy.cells])
-        assert not strategy.weights[~sim_mask].any()
+        assert strategy.weights[1] == 0.0
+        tables, similar = cell_tables(standard_settings)
+        got = compiled(ExistingModelSpec(1.0), standard_settings)[0]
+        np.testing.assert_allclose(got, tables[similar].sum(axis=0) / 8.0, rtol=0, atol=1e-15)
 
     def test_scalar_emit(self, standard_settings):
         """Every cell is a threshold-intensity pulse pair in the setting bases:
         certain to click one detector on basis match, silent on mismatch."""
-        strategy = ExistingStrategy(ExistingModelSpec(0.5), standard_settings)
-        alice, bob = strategy.responses(StationConfig.from_settings(standard_settings))
-        for k, (pa, pb, _) in enumerate(strategy.cells):
-            for response, pol, angles in (
-                (alice[k], pa, (standard_settings.alpha0, standard_settings.alpha1)),
-                (bob[k], pb, (standard_settings.beta0, standard_settings.beta1)),
+        for pa, pb, _ in source_polarization_cells(standard_settings):
+            for pol, angles in (
+                (pa, (standard_settings.alpha0, standard_settings.alpha1)),
+                (pb, (standard_settings.beta0, standard_settings.beta1)),
             ):
+                response = pulse_response(
+                    pol.degrees, 1.0, [a.degrees for a in angles], STEP, DoubleClickPolicy.DISCARD
+                )
                 for basis, angle in enumerate(angles):
                     conclusive = response[basis, OUT_PLUS] + response[basis, OUT_MINUS]
                     assert conclusive == (1.0 if pol.separation_to(angle) in (0.0, 90.0) else 0.0)
@@ -453,6 +472,17 @@ class TestPerfectSampling:
                 PerfectModelSpec(0.9, 0.4, mode=PerfectMode.PHYSICAL_PULSES),
                 settings,
             )
+
+    def test_physical_mode_unreachable_rows_need_no_geometry(self):
+        """Perpendicular Alice bases support only vacuum, which is all that a = b = 0 sends."""
+        settings = MeasurementSettings.from_degrees(0.0, 90.0, 22.5, 67.5)
+        table = outcomes(compiled(PerfectModelSpec(0.0, 0.0, mode=PerfectMode.PHYSICAL_PULSES), settings))
+        assert table.shape == (2, 4, 4, 4)
+        # Phase 0 controls Alice, phase 1 Bob: the controlled side never clicks.
+        np.testing.assert_allclose(table[0, :, OUT_INCONCLUSIVE, :].sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(table[1, :, :, OUT_INCONCLUSIVE].sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(InfeasibleGeometry, match="no intensity satisfies row plain-aligned"):
+            PerfectStrategy(PerfectModelSpec(0.9, 0.4, mode=PerfectMode.PHYSICAL_PULSES), settings)
 
 
 class TestPerfectEmit:

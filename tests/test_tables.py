@@ -3,7 +3,10 @@
 Each table is compared with its closed-form oracle to 1e-12, and a
 property test checks, over random specs, detectors and policies, that
 every table is a probability distribution per setting whose marginals
-ignore the remote setting (exact no-signalling).
+ignore the remote setting (exact no-signalling). A second property test
+checks that the cached, weight-free components of the pulse strategies
+never change a table: compiling in any order gives what a cold compile
+gives.
 """
 import math
 
@@ -33,6 +36,7 @@ from bellsim import (
     quantum_joint_probabilities,
 )
 from bellsim.optics import OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
+from bellsim import strategies
 from bellsim.strategies import StationConfig, build_strategy
 
 STANDARD = MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5)
@@ -136,7 +140,9 @@ def specs(draw, settings):
     if kind == "existing":
         return ExistingModelSpec(draw(unit))
     if kind == "improved":
-        return ImprovedModelSpec.for_settings(draw(unit), settings)
+        lo = ImprovedModelSpec.for_settings(0.0, settings).min_trigger_intensity
+        trigger = draw(st.none() | st.floats(lo, 2.0, exclude_max=True))
+        return ImprovedModelSpec.for_settings(draw(unit), settings, trigger)
     if kind == "perfect":
         a = draw(unit)
         b = draw(st.floats(0.0, a))
@@ -170,3 +176,83 @@ def test_every_table_is_a_no_signalling_distribution(data, detector, policy):
         bob = by_setting.sum(axis=2)  # (alice basis, bob basis, bob state)
         np.testing.assert_allclose(alice[:, 0], alice[:, 1], rtol=0, atol=EXACT)
         np.testing.assert_allclose(bob[0], bob[1], rtol=0, atol=EXACT)
+
+
+# ---------------------------------------------------------------------------
+# Cached components
+# ---------------------------------------------------------------------------
+
+CACHED_BUILDERS = [f for f in vars(strategies).values() if hasattr(f, "cache_clear")]
+
+
+def clear_caches():
+    for builder in CACHED_BUILDERS:
+        builder.cache_clear()
+
+
+def cached_arrays(spec, settings, stations):
+    """Every cached array that compiling ``spec`` reads."""
+    if isinstance(spec, ExistingModelSpec):
+        return [strategies._existing_components(settings, stations)]
+    if isinstance(spec, ImprovedModelSpec):
+        return [
+            strategies._improved_components(settings, stations, spec.trigger_intensity),
+            strategies._existing_components(settings, stations),
+        ]
+    if isinstance(spec, PerfectModelSpec) and spec.mode is PerfectMode.PHYSICAL_PULSES:
+        pol, intensity, _ = strategies._control_geometry(settings, spec.role_reversal)
+        return [strategies._perfect_components(settings, stations, spec.role_reversal), pol, intensity]
+    return []
+
+
+def test_cached_arrays_cover_every_cached_builder():
+    names = {builder.__name__ for builder in CACHED_BUILDERS}
+    assert names == {
+        "_existing_components", "_improved_components", "_control_geometry", "_perfect_components",
+    }
+
+
+@hyp_settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cached_components_never_change_a_table(data):
+    # Every spec is compiled under each of a few stations on its settings,
+    # so compiles both fill and reuse the caches, and stations that differ
+    # only in their detector or policy meet the same settings.
+    angles = data.draw(st.lists(settings_(), min_size=1, max_size=2))
+    geometries = data.draw(st.lists(
+        st.tuples(st.sampled_from(angles), detectors, st.sampled_from(DoubleClickPolicy)),
+        min_size=1, max_size=3,
+    ))
+    jobs = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        settings = data.draw(st.sampled_from(angles))
+        try:
+            spec = data.draw(specs(settings))
+            build_strategy(spec, settings)
+        except InfeasibleGeometry:
+            continue
+        jobs += [
+            (spec, settings, StationConfig.from_settings(*geometry))
+            for geometry in geometries if geometry[0] == settings
+        ]
+
+    def compile_(job):
+        spec, settings, stations = job
+        return build_strategy(spec, settings).joint_table(stations)
+
+    clear_caches()
+    in_order = [compile_(job) for job in jobs]
+    for job, table in zip(jobs, in_order):
+        for array in cached_arrays(*job):
+            assert not array.flags.writeable
+        clear_caches()
+        assert np.array_equal(table, compile_(job))
+    for a, b in zip(jobs, jobs[1:]):
+        first = compile_(a)
+        compile_(b)
+        assert np.array_equal(compile_(a), first)
+    for job, table in zip(jobs, in_order):
+        scratch = compile_(job)
+        assert scratch.flags.writeable
+        scratch[...] = -1.0
+        assert np.array_equal(compile_(job), table)
