@@ -18,7 +18,6 @@ __all__ = [
     "perfect_predict",
     "ab_from_eta",
     "existing_predict",
-    "p2_for_s",
 ]
 
 # The two pure strategies mixed by the improved model: deterministic
@@ -120,21 +119,3 @@ def existing_predict(e_target: float) -> Prediction:
         e_per_setting=_chsh_pattern(e_target),
         coincidence_prob=METHOD1_ETA**2,
     )
-
-
-def p2_for_s(s_target: float, tol: float = 1e-10) -> float:
-    """Invert :func:`improved_predict`: the ``p2`` whose CHSH value is ``s_target``.
-
-    Bisection on the strictly decreasing map p2 -> S, to absolute
-    tolerance ``tol``.
-    """
-    if not (math.isfinite(s_target) and 2.0 <= s_target <= 4.0):
-        raise ValidationError(f"s_target must lie in [2, 4], got {s_target!r}")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if improved_predict(mid).s > s_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -21,6 +21,7 @@ import numpy as np
 from . import analytic
 from .core import (
     CHSH_ORDER,
+    Angle,
     DoubleClickPolicy,
     MeasurementSettings,
     RunSummary,
@@ -40,9 +41,8 @@ from .strategies import (
     StrategySpec,
     ControlRow,
     bell_phi_plus,
-    control_pulse_for,
+    control_geometry,
     control_row_probabilities,
-    feasible_intensity_window,
 )
 
 __all__ = ["main", "ConfigError", "load_config", "build_run_config", "write_summary_csv"]
@@ -365,32 +365,30 @@ def cmd_check_feasibility(args: argparse.Namespace) -> int:
     a = _get(cp, "strategy", "a", float)
     b = _get(cp, "strategy", "b", float)
     probs = control_row_probabilities(a, b)
+    geometry = control_geometry(settings)
+    blocked = {(side, k) for side, k, _ in geometry.infeasible}
 
-    for side, angle0, angle1 in (
+    for side, (name, angle0, angle1) in enumerate((
         ("alice", settings.alpha0, settings.alpha1),
         ("bob", settings.beta0, settings.beta1),
-    ):
-        phi0 = angle0.separation_to(angle1) / 2.0
-        phi1 = angle0.separation_to(angle1.perpendicular()) / 2.0
-        print(f"{side} side: phi0={phi0:.6g} deg, phi1={phi1:.6g} deg")
+    )):
+        phi0, phi1 = geometry.phi[side]
+        print(f"{name} side: phi0={phi0:.6g} deg, phi1={phi1:.6g} deg")
         head0 = f"pol (source {angle0})"
         head1 = f"pol (source {angle1})"
         print(f"  {'row':<15}{'probability':<13}{'window':<22}{'intensity':<11}"
               f"{head0:<20}{head1}")
-        for row, prob in zip(CONTROL_ROWS, probs):
+        for k, (row, prob) in enumerate(zip(CONTROL_ROWS, probs)):
             if row is ControlRow.VACUUM:
                 window_text, intensity_text = "any", "0"
                 pol0 = pol1 = "vacuum"
+            elif (side, k) in blocked:
+                window_text, intensity_text, pol0, pol1 = "INFEASIBLE", "-", "-", "-"
             else:
-                window = feasible_intensity_window(row, phi0, phi1)
-                if window is None:
-                    window_text, intensity_text, pol0, pol1 = "INFEASIBLE", "-", "-", "-"
-                else:
-                    lo, hi = window
-                    window_text = f"[{lo:.6g}, {hi:.6g})"
-                    intensity_text = f"{(lo + hi) / 2.0:.6g}"
-                    pol0 = str(control_pulse_for(row, a, b, (angle0, angle1))[0])
-                    pol1 = str(control_pulse_for(row, a, b, (angle1, angle0))[0])
+                lo, hi = geometry.windows[side][k]
+                window_text = f"[{lo:.6g}, {hi:.6g})"
+                intensity_text = f"{geometry.intensity[side, 0, k]:.6g}"
+                pol0, pol1 = (str(Angle(p)) for p in geometry.pol[side, :, k])
             print(f"  {row.value:<15}{prob:<13.6g}{window_text:<22}{intensity_text:<11}"
                   f"{pol0:<20}{pol1}")
     return 0
@@ -433,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check-feasibility",
-        help="Show the control-pulse intensity windows for the configured geometry.",
+        help="Show the control pulses the physical perfect model sends for the configured geometry.",
     )
     p_check.add_argument("config", help="Path to the INI config file")
     p_check.set_defaults(func=cmd_check_feasibility)
@@ -457,7 +455,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def cli_entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    cli_entry()

@@ -153,10 +153,6 @@ class Outcome(Enum):
     INCONCLUSIVE = "?"
     DOUBLE = "D"
 
-    @property
-    def conclusive(self) -> bool:
-        return self in (Outcome.PLUS, Outcome.MINUS)
-
 
 class DoubleClickPolicy(Enum):
     """How the analyzer reports a trial where both of its detectors fired.
@@ -227,22 +223,6 @@ class SettingTally:
     @property
     def n_bob_conclusive(self) -> int:
         return self.n_coincidences + self.n_bob_only
-
-    def add(self, other: "SettingTally") -> "SettingTally":
-        if self.doubles_excluded != other.doubles_excluded:
-            raise ValidationError("cannot add tallies with different double-click accounting")
-        return SettingTally(
-            n_pp=self.n_pp + other.n_pp,
-            n_pm=self.n_pm + other.n_pm,
-            n_mp=self.n_mp + other.n_mp,
-            n_mm=self.n_mm + other.n_mm,
-            n_alice_only=self.n_alice_only + other.n_alice_only,
-            n_bob_only=self.n_bob_only + other.n_bob_only,
-            n_neither=self.n_neither + other.n_neither,
-            n_trials=self.n_trials + other.n_trials,
-            n_double_events=self.n_double_events + other.n_double_events,
-            doubles_excluded=self.doubles_excluded,
-        )
 
 
 @dataclass(frozen=True)

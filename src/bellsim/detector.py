@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -25,7 +24,6 @@ from .core import ValidationError
 
 __all__ = [
     "MalformedCurve",
-    "RampShape",
     "StepThreshold",
     "TwoThreshold",
     "Empirical",
@@ -39,13 +37,6 @@ __all__ = [
 
 class MalformedCurve(ValidationError):
     """Raised when a measured response curve fails validation."""
-
-
-class RampShape(Enum):
-    """Interpolation used between the two thresholds of a noisy detector."""
-
-    LINEAR = "linear"
-    TABULATED = "tabulated"
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,17 +54,12 @@ class StepThreshold:
 class TwoThreshold:
     """Noisy control: certain silence below ``i_never``, certain click at ``i_always``.
 
-    Between the thresholds the click probability rises from 0 to 1, either
-    linearly or along a caller-supplied monotone ramp given as (fraction of
-    the way across the band, probability) knots. The ramp must start at
-    probability 0 and end at 1 so the model stays continuous in intent with
-    its guaranteed endpoints.
+    Between the thresholds the click probability rises linearly from 0 to
+    1. A measured or otherwise tabulated ramp is an :class:`Empirical` curve.
     """
 
     i_never: float
     i_always: float
-    interpolation: RampShape = RampShape.LINEAR
-    ramp: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.i_never) and self.i_never >= 0.0):
@@ -82,32 +68,6 @@ class TwoThreshold:
             raise ValidationError(
                 f"i_always must exceed i_never, got i_never={self.i_never!r}, i_always={self.i_always!r}"
             )
-        if self.interpolation is RampShape.LINEAR:
-            if self.ramp is not None:
-                raise ValidationError("a linear ramp takes no knot table")
-            return
-        if not self.ramp:
-            raise ValidationError("tabulated interpolation requires ramp knots")
-        knots = tuple((float(t), float(p)) for t, p in self.ramp)
-        ts = [t for t, _ in knots]
-        ps = [p for _, p in knots]
-        if any(not (0.0 <= t <= 1.0) for t in ts):
-            raise ValidationError("ramp fractions must lie in [0, 1]")
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-            raise ValidationError("ramp fractions must be strictly increasing")
-        if any(not (0.0 <= p <= 1.0) for p in ps):
-            raise ValidationError("ramp probabilities must lie in [0, 1]")
-        if any(p2 < p1 for p1, p2 in zip(ps, ps[1:])):
-            raise ValidationError("ramp probabilities must be non-decreasing")
-        if ts[0] == 0.0 and ps[0] != 0.0:
-            raise ValidationError("ramp must start at probability 0")
-        if ts[-1] == 1.0 and ps[-1] != 1.0:
-            raise ValidationError("ramp must end at probability 1")
-        if ts[0] > 0.0:
-            knots = ((0.0, 0.0),) + knots
-        if ts[-1] < 1.0:
-            knots = knots + ((1.0, 1.0),)
-        object.__setattr__(self, "ramp", knots)
 
 
 @dataclass(frozen=True)
@@ -153,13 +113,7 @@ def click_probability(model: DetectorModel, intensity):
         out = (arr >= model.i_th).astype(float)
     elif isinstance(model, TwoThreshold):
         frac = (arr - model.i_never) / (model.i_always - model.i_never)
-        frac = np.clip(frac, 0.0, 1.0)
-        if model.interpolation is RampShape.LINEAR:
-            out = frac
-        else:
-            ts = np.array([t for t, _ in model.ramp])
-            ps = np.array([p for _, p in model.ramp])
-            out = np.interp(frac, ts, ps)
+        out = np.clip(frac, 0.0, 1.0)
     elif isinstance(model, Empirical):
         energies = np.array([e for e, _ in model.curve])
         probs = np.array([p for _, p in model.curve])

@@ -11,10 +11,8 @@ __all__ = [
     "SingularRatio",
     "ChshCombination",
     "correlation_from_counts",
-    "chsh_value",
     "gm_bound",
     "nsim_ndif_ratio",
-    "symmetric_e_for_s",
 ]
 
 
@@ -61,11 +59,6 @@ def correlation_from_counts(n_pp: float, n_pm: float, n_mp: float, n_mm: float) 
     return (n_pp + n_mm - n_pm - n_mp) / total
 
 
-def chsh_value(combination: ChshCombination) -> float:
-    """The CHSH sum; local models at unit efficiency keep it at or below 2."""
-    return combination.e00 + combination.e10 + combination.e11 - combination.e01
-
-
 def gm_bound(eta: float) -> float:
     """Local bound on the CHSH sum at detection efficiency ``eta``.
 
@@ -84,10 +77,3 @@ def nsim_ndif_ratio(e: float) -> float:
     if e == 1.0:
         raise SingularRatio("the ratio diverges at e = 1 (no different outcomes)")
     return (1.0 + e) / (1.0 - e)
-
-
-def symmetric_e_for_s(s: float) -> float:
-    """Per-setting correlation magnitude when all four settings share |E| = S/4."""
-    if not (math.isfinite(s) and -4.0 <= s <= 4.0):
-        raise ValidationError(f"s must lie in [-4, 4], got {s!r}")
-    return s / 4.0

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,8 @@ __all__ = [
     "CONTROL_ROWS",
     "control_row_probabilities",
     "feasible_intensity_window",
-    "control_pulse_for",
+    "ControlGeometry",
+    "control_geometry",
     "source_polarization_cells",
     "ExistingStrategy",
     "ImprovedStrategy",
@@ -148,12 +150,6 @@ class ImprovedModelSpec:
         """
         phi_a = settings.alpha0.separation_to(settings.alpha1) / 2.0
         phi_b = settings.beta0.separation_to(settings.beta1) / 2.0
-        for name, phi in (("alice", phi_a), ("bob", phi_b)):
-            if phi >= 45.0:
-                raise InfeasibleGeometry(
-                    f"{name} analyzer angles are perpendicular; midpoint pulses cannot "
-                    "drive a single detector"
-                )
         if trigger_intensity is None:
             trigger_intensity = (_min_trigger_intensity(phi_a, phi_b) + 2.0) / 2.0
         return cls(p2=p2, phi_a=phi_a, phi_b=phi_b, trigger_intensity=trigger_intensity)
@@ -393,12 +389,7 @@ class ControlRow(Enum):
     VACUUM = "vacuum"
 
 
-CONTROL_ROWS = (
-    ControlRow.PLAIN_ALIGNED,
-    ControlRow.MIDPOINT_UP,
-    ControlRow.MIDPOINT_DOWN,
-    ControlRow.VACUUM,
-)
+CONTROL_ROWS = tuple(ControlRow)
 
 
 def control_row_probabilities(a: float, b: float) -> tuple[float, float, float, float]:
@@ -460,42 +451,6 @@ def feasible_intensity_window(
     return _window_or_none(1.0, hi)
 
 
-def control_pulse_for(
-    target_behavior: ControlRow,
-    a: float,
-    b: float,
-    alice_angles: tuple[Angle, Angle],
-) -> tuple[Angle | None, float]:
-    """One controlled-side pulse half: (polarization, intensity).
-
-    ``alice_angles`` is ``(base, other)``: the analyzer angle the pulse is
-    keyed to and the same party's other analyzer angle. The intensity is
-    the midpoint of the row's feasible window; an empty window raises
-    :class:`InfeasibleGeometry`. Requires ``a >= b``.
-    """
-    control_row_probabilities(a, b)
-    return _control_pulse(target_behavior, *alice_angles)
-
-
-def _control_pulse(row: ControlRow, base: Angle, other: Angle) -> tuple[Angle | None, float]:
-    if row is ControlRow.VACUUM:
-        return None, 0.0
-    phi0 = base.separation_to(other) / 2.0
-    phi1 = base.separation_to(other.perpendicular()) / 2.0
-    window = feasible_intensity_window(row, phi0, phi1)
-    if window is None:
-        raise InfeasibleGeometry(
-            f"no intensity satisfies row {row.value} for "
-            f"phi0={phi0:g} deg, phi1={phi1:g} deg"
-        )
-    intensity = (window[0] + window[1]) / 2.0
-    if row is ControlRow.PLAIN_ALIGNED:
-        return base, intensity
-    if row is ControlRow.MIDPOINT_UP:
-        return base.midpoint_toward(other), intensity
-    return base.midpoint_toward(other.perpendicular()), intensity
-
-
 # ---------------------------------------------------------------------------
 # Perfect model
 # ---------------------------------------------------------------------------
@@ -533,36 +488,65 @@ def _perfect_phase(w: np.ndarray, controlled: np.ndarray, reversed_: bool) -> np
     return _local_table(w, alice, bob)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _control_geometry(
-    settings: MeasurementSettings, role_reversal: bool
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, str], ...]]:
-    """The controlled side's pulses per side (0 = Alice, 1 = Bob) x label x row.
+class ControlGeometry(NamedTuple):
+    """The perfect model's control pulses, by side (0 = Alice, 1 = Bob).
 
-    Returns their polarizations and intensities, (2, 2, 4) each, and the
-    (row index, reason) of every pulse the angles cannot support, in side,
-    label, row order. Such a pulse is left as vacuum.
+    ``phi`` holds each side's (phi0, phi1) in degrees and ``windows`` its
+    :func:`feasible_intensity_window` per row, in :data:`CONTROL_ROWS`
+    order. ``pol`` (degrees) and ``intensity`` are (2 sides, 2 labels,
+    4 rows). A pulse listed in ``infeasible`` as (side, row index, reason)
+    cannot be sent and is left as vacuum.
+    """
+
+    phi: tuple[tuple[float, float], ...]
+    windows: tuple[tuple[tuple[float, float] | None, ...], ...]
+    pol: np.ndarray
+    intensity: np.ndarray
+    infeasible: tuple[tuple[int, int, str], ...]
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def control_geometry(settings: MeasurementSettings) -> ControlGeometry:
+    """Which pulse realises each control row on each side, for both sides.
+
+    A row is sent at the midpoint of its feasible window, polarized along
+    the keyed analyzer angle (plain-aligned) or a bisector toward the
+    party's other angle (midpoint-up) or its perpendicular (midpoint-down).
+    A window that is empty or unbounded has no such midpoint to send.
     """
     parties = ((settings.alpha0, settings.alpha1), (settings.beta0, settings.beta1))
     pol = np.zeros((2, 2, len(CONTROL_ROWS)))
     intensity = np.zeros_like(pol)
-    infeasible = []
-    for reversed_ in _orientations(role_reversal):
-        side = int(reversed_)
-        angles = parties[side]
-        for label in (0, 1):
-            for k, row in enumerate(CONTROL_ROWS):
-                try:
-                    p, i = _control_pulse(row, angles[label], angles[1 - label])
-                except InfeasibleGeometry as exc:
-                    infeasible.append((k, str(exc)))
-                    continue
-                if math.isinf(i):  # an unbounded window has no midpoint to send
-                    infeasible.append((k, f"row {row.value} has no finite intensity here"))
-                    continue
-                pol[side, label, k] = 0.0 if p is None else p.degrees
-                intensity[side, label, k] = i
-    return _frozen(pol), _frozen(intensity), tuple(infeasible)
+    phis, windows, infeasible = [], [], []
+    for side, angles in enumerate(parties):
+        phi0 = angles[0].separation_to(angles[1]) / 2.0
+        phi1 = angles[0].separation_to(angles[1].perpendicular()) / 2.0
+        phis.append((phi0, phi1))
+        windows.append(tuple(feasible_intensity_window(row, phi0, phi1) for row in CONTROL_ROWS))
+        for k, (row, window) in enumerate(zip(CONTROL_ROWS, windows[-1])):
+            if row is ControlRow.VACUUM:
+                continue
+            if window is None:
+                infeasible.append((side, k, (
+                    f"no intensity satisfies row {row.value} for "
+                    f"phi0={phi0:g} deg, phi1={phi1:g} deg"
+                )))
+                continue
+            midpoint = (window[0] + window[1]) / 2.0
+            if math.isinf(midpoint):
+                infeasible.append((side, k, f"row {row.value} has no finite intensity here"))
+                continue
+            for label in (0, 1):
+                base, other = angles[label], angles[1 - label]
+                if row is ControlRow.MIDPOINT_UP:
+                    base = base.midpoint_toward(other)
+                elif row is ControlRow.MIDPOINT_DOWN:
+                    base = base.midpoint_toward(other.perpendicular())
+                pol[side, label, k] = base.degrees
+                intensity[side, label, k] = midpoint
+    return ControlGeometry(
+        tuple(phis), tuple(windows), _frozen(pol), _frozen(intensity), tuple(infeasible)
+    )
 
 
 #: Per control row, the weights of the (label, row) emissions that make
@@ -575,11 +559,11 @@ def _perfect_components(
     settings: MeasurementSettings, stations: StationConfig, role_reversal: bool
 ) -> np.ndarray:
     """The table of each control row alone, (4 rows, phases, 4, 8, 8)."""
-    pol, intensity, _ = _control_geometry(settings, role_reversal)
+    geometry = control_geometry(settings)
     phases = []
     for reversed_ in _orientations(role_reversal):
         side = int(reversed_)
-        controlled = stations.response(pol[side], intensity[side], alice=not reversed_)
+        controlled = stations.response(geometry.pol[side], geometry.intensity[side], alice=not reversed_)
         phases.append(_perfect_phase(
             _ROW_COMPONENTS, controlled.reshape(-1, 2, N_STATES), reversed_
         ))
@@ -592,7 +576,8 @@ class PerfectStrategy:
     With role reversal the controlled party alternates with the trial
     index (even trials control Alice, odd trials Bob), so the table has
     one phase per parity. In physical mode the control rows weigh the
-    rows' pulse tables; a row with positive probability must be feasible.
+    rows' pulse tables; a row with positive probability must be feasible
+    on every side the model controls.
     """
 
     def __init__(self, spec: PerfectModelSpec, settings: MeasurementSettings):
@@ -600,8 +585,8 @@ class PerfectStrategy:
         self.settings = settings
         if spec.mode is PerfectMode.PHYSICAL_PULSES:
             self.weights = np.array(control_row_probabilities(spec.a, spec.b))
-            for k, reason in _control_geometry(settings, spec.role_reversal)[2]:
-                if self.weights[k] > 0.0:
+            for side, k, reason in control_geometry(settings).infeasible:
+                if (side == 0 or spec.role_reversal) and self.weights[k] > 0.0:
                     raise InfeasibleGeometry(reason)
         self.label = (
             f"perfect(a={spec.a:.12g}, b={spec.b:.12g}, mode={spec.mode.value}, "

@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bellsim import (
-    ValidationError,
-    ab_from_eta,
-    existing_predict,
-    gm_bound,
-    improved_predict,
-    p2_for_s,
-    perfect_predict,
-)
+from bellsim import ab_from_eta, improved_predict, perfect_predict
+from bellsim.analytic import existing_predict
+from bellsim.core import ValidationError
+from bellsim.inequalities import gm_bound
 
 SQRT2 = math.sqrt(2.0)
 ETA_THRESHOLD = 2.0 * (SQRT2 - 1.0)
@@ -161,23 +156,3 @@ class TestExistingPredict:
         assert p.eta == 0.5
         assert p.s == pytest.approx(s, abs=1e-12)
         assert p.coincidence_prob == 0.25
-
-
-class TestP2ForS:
-    def test_endpoints(self):
-        assert p2_for_s(4.0) == pytest.approx(0.0, abs=1e-9)
-        assert p2_for_s(2.0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_quantum_point(self):
-        assert p2_for_s(2.0 * SQRT2) == pytest.approx(0.2612, abs=1e-4)
-
-    def test_inverse_of_improved_predict(self):
-        for p2 in np.linspace(0.0, 1.0, 41):
-            s = improved_predict(float(p2)).s
-            assert p2_for_s(s) == pytest.approx(p2, abs=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            p2_for_s(1.9)
-        with pytest.raises(ValidationError):
-            p2_for_s(4.1)

@@ -4,7 +4,12 @@ import re
 
 import pytest
 
+from bellsim import MeasurementSettings, PerfectMode, PerfectModelSpec
 from bellsim.cli import SUMMARY_COLUMNS, main
+from bellsim.core import DoubleClickPolicy
+from bellsim.detector import StepThreshold
+from bellsim.optics import pulse_response
+from bellsim.strategies import InfeasibleGeometry, StationConfig, build_strategy
 
 SQRT2 = math.sqrt(2.0)
 
@@ -369,3 +374,45 @@ beta0 = 22.5
 beta1 = 67.5
 """)
         assert main(["check-feasibility", str(config)]) == 2
+
+    @pytest.mark.parametrize("angles", [
+        (0, 45, 22.5, 67.5), (0, 90, 22.5, 67.5), (0, 60, 11.25, -33.75), (0, 30, 0, 90), (-45, 45, 0, 90),
+    ])
+    def test_infeasible_rows_are_the_rows_the_engine_refuses(self, tmp_path, capsys, angles):
+        keys = ("alpha0", "alpha1", "beta0", "beta1")
+        config = write_config(tmp_path, "[strategy]\nkind = perfect\na = 0.9\nb = 0.4\n\n[settings]\n"
+                              + "".join(f"{k} = {v}\n" for k, v in zip(keys, angles)))
+        assert main(["check-feasibility", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "inf" not in out
+        printed = {}  # (side, row) -> (window, intensity, pol for source 0, pol for source 1)
+        for line in out.splitlines():
+            if line.endswith(" deg"):
+                side = line.split()[0]
+            elif line.split()[0] != "row":
+                columns = (line[2:17], line[30:52], line[52:63], line[63:83], line[83:])
+                printed[side, columns[0].strip()] = tuple(c.strip() for c in columns[1:])
+        a0, a1, b0, b1 = angles
+        # The engine controls Alice when roles stay fixed, so Bob's side is
+        # checked with the two parties' angles swapped.
+        for side, side_angles in (("alice", (a0, a1, b0, b1)), ("bob", (b0, b1, a0, a1))):
+            settings = MeasurementSettings.from_degrees(*side_angles)
+            infeasible = {row for (s, row), c in printed.items() if s == side and c[0] == "INFEASIBLE"}
+            for row in ("plain-aligned", "midpoint-up", "midpoint-down"):
+                window, intensity, *pols = printed[side, row]
+                if window != "INFEASIBLE":
+                    for pol in pols:  # the printed pulse is one the optics accept
+                        pulse_response(float(pol.rstrip("°")), float(intensity), side_angles[:2],
+                                       StepThreshold(), DoubleClickPolicy.DISCARD)
+            # (a, b) = (1, 0) sends only plain-aligned pulses, (1, 1) only
+            # midpoint pulses and (0, 0) only vacuum.
+            for (a, b), rows in (((1.0, 0.0), ("plain-aligned",)),
+                                 ((1.0, 1.0), ("midpoint-up", "midpoint-down")),
+                                 ((0.0, 0.0), ("vacuum",))):
+                spec = PerfectModelSpec(a, b, PerfectMode.PHYSICAL_PULSES, role_reversal=False)
+                refused = [row for row in rows if row in infeasible]
+                if refused:
+                    with pytest.raises(InfeasibleGeometry, match=f"row {refused[0]} "):
+                        build_strategy(spec, settings)
+                else:
+                    build_strategy(spec, settings).joint_table(StationConfig.from_settings(settings))

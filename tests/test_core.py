@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from bellsim import (
+from bellsim import MeasurementSettings, SettingPair
+from bellsim.core import (
     Angle,
     CoincidenceCounts,
-    MeasurementSettings,
-    Outcome,
-    SettingPair,
     SettingTally,
     ValidationError,
     normalize_degrees,
@@ -96,12 +94,6 @@ class TestSettingPair:
         assert len({p.label for p in SettingPair}) == 4
 
 
-class TestOutcome:
-    def test_conclusive(self):
-        assert Outcome.PLUS.conclusive and Outcome.MINUS.conclusive
-        assert not Outcome.INCONCLUSIVE.conclusive and not Outcome.DOUBLE.conclusive
-
-
 def _tally(**overrides):
     base = dict(
         n_pp=10, n_pm=2, n_mp=3, n_mm=5, n_alice_only=4, n_bob_only=6,
@@ -128,13 +120,6 @@ class TestSettingTally:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             _tally(n_pp=-1)
-
-    def test_add(self):
-        total = _tally().add(_tally())
-        assert total.n_trials == 74
-        assert total.n_pp == 20
-        with pytest.raises(ValidationError):
-            _tally().add(_tally(n_trials=38, doubles_excluded=True))
 
 
 class TestCoincidenceCounts:
@@ -167,7 +152,7 @@ class TestRunSummary:
             dataclasses.replace(summary, correlations={p: 2.0 for p in SettingPair})
 
     def test_carries_diagnostics(self, summary):
-        from bellsim import StepThreshold
+        from bellsim.detector import StepThreshold
 
         assert summary.n_trials == 4000
         assert set(summary.joint_counts) == set(SettingPair)

@@ -1,25 +1,19 @@
 import numpy as np
 import pytest
 
-from bellsim import (
-    DoubleClickPolicy,
+from bellsim import ExistingModelSpec, MeasurementSettings, RunConfig, run
+from bellsim.core import DoubleClickPolicy, ValidationError
+from bellsim.detector import (
     Empirical,
-    ExistingModelSpec,
-    MeasurementSettings,
     MalformedCurve,
-    RampShape,
     StepThreshold,
     TwoThreshold,
-    ValidationError,
     bundled_response_curve,
     click_probability,
     load_response_curve,
-    RunConfig,
-    pulse_response,
     read_response_csv,
-    run,
 )
-from bellsim.optics import N_STATES, OUT_DOUBLE, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
+from bellsim.optics import N_STATES, OUT_DOUBLE, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS, pulse_response
 
 HALF_INTENSITY_CLICK_PROB = 0.40  # synthetic curve pinned to this value
 
@@ -53,27 +47,6 @@ class TestTwoThreshold:
             TwoThreshold(1.2, 0.8)
         with pytest.raises(ValidationError):
             TwoThreshold(1.0, 1.0)
-
-    def test_tabulated_ramp(self):
-        model = TwoThreshold(
-            1.0, 2.0, interpolation=RampShape.TABULATED,
-            ramp=((0.5, 0.1), (0.75, 0.9)),
-        )
-        assert click_probability(model, 1.0) == 0.0
-        assert click_probability(model, 1.5) == pytest.approx(0.1)
-        assert click_probability(model, 2.0) == 1.0
-        # linear between supplied knots
-        assert click_probability(model, 1.625) == pytest.approx(0.5)
-
-    def test_tabulated_ramp_validation(self):
-        with pytest.raises(ValidationError):
-            TwoThreshold(1.0, 2.0, interpolation=RampShape.TABULATED, ramp=None)
-        with pytest.raises(ValidationError):
-            TwoThreshold(1.0, 2.0, interpolation=RampShape.TABULATED,
-                         ramp=((0.5, 0.9), (0.75, 0.1)))
-        with pytest.raises(ValidationError):
-            TwoThreshold(1.0, 2.0, interpolation=RampShape.TABULATED,
-                         ramp=((0.0, 0.3), (1.0, 1.0)))
 
     def test_step_is_the_zero_width_limit(self):
         step = StepThreshold(1.0)
@@ -123,8 +96,8 @@ class TestMonotonicityAndBounds:
         [
             StepThreshold(0.7),
             TwoThreshold(0.4, 1.3),
-            TwoThreshold(0.5, 1.5, interpolation=RampShape.TABULATED,
-                         ramp=((0.2, 0.0), (0.4, 0.3), (0.9, 0.95))),
+            # a tabulated ramp across [0.5, 1.5] is an empirical curve
+            Empirical(((0.5, 0.0), (0.7, 0.0), (0.9, 0.3), (1.4, 0.95), (1.5, 1.0))),
             Empirical(((0.3, 0.1), (0.5, 0.40), (1.0, 1.0))),
         ],
     )

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bellsim import (
-    AllZeroCoincidences,
-    DoubleClickPolicy,
     ExistingModelSpec,
     ImprovedModelSpec,
     MeasurementSettings,
@@ -16,16 +14,15 @@ from bellsim import (
     QuantumSpec,
     RunConfig,
     SettingPair,
-    StepThreshold,
-    ValidationError,
     bell_phi_plus,
-    bundled_response_curve,
     empirical_no_signalling,
     merge,
-    no_signalling_from_tables,
     run,
 )
-from bellsim.engine import BATCH_SIZE, _batch_rng
+from bellsim.core import DoubleClickPolicy, ValidationError
+from bellsim.detector import StepThreshold, bundled_response_curve
+from bellsim.engine import BATCH_SIZE, _batch_rng, no_signalling_from_tables
+from bellsim.inequalities import AllZeroCoincidences
 
 SQRT2 = math.sqrt(2.0)
 A_THRESHOLD = 12.0 * SQRT2 - 16.0

@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bellsim import (
-    AllZeroCoincidences,
-    ChshCombination,
-    SingularRatio,
-    ValidationError,
-    chsh_value,
-    correlation_from_counts,
-    gm_bound,
-    nsim_ndif_ratio,
-    symmetric_e_for_s,
-)
+from bellsim import correlation_from_counts, nsim_ndif_ratio
+from bellsim.core import ValidationError
+from bellsim.inequalities import AllZeroCoincidences, ChshCombination, SingularRatio, gm_bound
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,16 +44,6 @@ class TestCorrelationFromCounts:
 
 
 class TestChshValue:
-    def test_algebraic_maximum(self):
-        assert chsh_value(ChshCombination(1, 1, 1, -1)) == 4.0
-
-    def test_quantum_maximum(self):
-        e = 1.0 / SQRT2
-        assert chsh_value(ChshCombination(e, e, e, -e)) == pytest.approx(2.0 * SQRT2, abs=1e-12)
-
-    def test_local_deterministic_point(self):
-        assert chsh_value(ChshCombination(1, 1, 1, 1)) == 2.0
-
     def test_components_validated(self):
         with pytest.raises(ValidationError):
             ChshCombination(1.5, 0, 0, 0)
@@ -112,13 +94,3 @@ class TestNsimNdifRatio:
             n_dif = float(rng.integers(1, 10_000))
             e = correlation_from_counts(n_sim, n_dif, n_dif, n_sim)
             assert nsim_ndif_ratio(e) == pytest.approx(n_sim / n_dif, rel=1e-12)
-
-
-class TestSymmetricEForS:
-    @pytest.mark.parametrize("s,e", [(2.0 * SQRT2, 1.0 / SQRT2), (4.0, 1.0), (0.0, 0.0), (-4.0, -1.0)])
-    def test_values(self, s, e):
-        assert symmetric_e_for_s(s) == pytest.approx(e, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            symmetric_e_for_s(4.5)

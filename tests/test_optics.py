@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from bellsim import (
-    Angle,
-    DoubleClickPolicy,
-    StepThreshold,
-    TwoThreshold,
-    ValidationError,
-    bundled_response_curve,
-    click_probability,
+from bellsim.core import Angle, DoubleClickPolicy, ValidationError
+from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve, click_probability
+from bellsim.optics import (
+    N_STATES,
+    OUT_DOUBLE,
+    OUT_INCONCLUSIVE,
+    OUT_MINUS,
+    OUT_PLUS,
     malus_split,
     pulse_response,
 )
-from bellsim.optics import N_STATES, OUT_DOUBLE, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
 
 # cos^2(22.5 deg) = (2 + sqrt(2)) / 4, frozen from the half-angle identity.
 COS2_22P5 = (2.0 + math.sqrt(2.0)) / 4.0

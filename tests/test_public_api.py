@@ -1,0 +1,43 @@
+"""The public surface: the README's examples run and every export resolves.
+
+A helper deleted from a module must leave neither a stale name in an
+``__all__`` nor a README example that no longer runs.
+"""
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import bellsim
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SUBMODULES = sorted(
+    f"bellsim.{m.name}" for m in pkgutil.iter_modules(bellsim.__path__)
+    if m.name != "__main__" and not m.ispkg
+)
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:  # later blocks build on earlier ones, as a reader runs them
+        exec(compile(block, str(README), "exec"), namespace)
+
+
+@pytest.mark.parametrize("name", ["bellsim"] + SUBMODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    public = {
+        n for n, value in vars(bellsim).items()
+        if not n.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(bellsim.__all__)

@@ -4,40 +4,36 @@ import numpy as np
 import pytest
 
 from bellsim import (
-    Angle,
-    DoubleClickPolicy,
-    InfeasibleGeometry,
-    MeasurementSettings,
-    Outcome,
-    PerfectMode,
-    PerfectModelSpec,
     ExistingModelSpec,
     ImprovedModelSpec,
+    MeasurementSettings,
+    PerfectMode,
+    PerfectModelSpec,
     QuantumSpec,
     RunConfig,
     SettingPair,
-    StepThreshold,
-    ControlRow,
-    TwoQubitState,
-    TwoThreshold,
-    ValidationError,
     bell_phi_plus,
-    control_pulse_for,
-    feasible_intensity_window,
-    perfect_joint_distribution,
     perfect_no_signalling_discrepancy,
-    pulse_response,
     quantum_correlation,
-    quantum_joint_probabilities,
     run,
 )
-from bellsim.optics import N_STATES, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
+from bellsim.core import Angle, DoubleClickPolicy, Outcome, ValidationError
+from bellsim.detector import StepThreshold, TwoThreshold
+from bellsim.optics import N_STATES, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS, pulse_response
 from bellsim.strategies import (
+    CONTROL_ROWS,
+    ControlRow,
     ExistingStrategy,
+    InfeasibleGeometry,
     PerfectStrategy,
     StationConfig,
+    TwoQubitState,
     build_strategy,
+    control_geometry,
     control_row_probabilities,
+    feasible_intensity_window,
+    perfect_joint_distribution,
+    quantum_joint_probabilities,
     source_polarization_cells,
 )
 
@@ -290,22 +286,31 @@ class TestFeasibleWindows:
 
 
 class TestControlPulseFor:
-    ANGLES = (Angle(0.0), Angle(45.0))
+    """Each control row's pulse as :func:`control_geometry` sends it (Alice, label 0)."""
 
-    def test_plain_row(self):
-        pol, intensity = control_pulse_for(ControlRow.PLAIN_ALIGNED, 0.9, 0.4, self.ANGLES)
-        assert pol == Angle(0.0)
+    def pulse(self, row, settings):
+        k = CONTROL_ROWS.index(row)
+        geometry = control_geometry(settings)
+        return geometry.pol[0, 0, k], geometry.intensity[0, 0, k]
+
+    def test_plain_row(self, standard_settings):
+        pol, intensity = self.pulse(ControlRow.PLAIN_ALIGNED, standard_settings)
+        assert pol == 0.0
         assert intensity == pytest.approx(1.5, abs=1e-12)
 
-    def test_midpoint_rows(self):
-        up, _ = control_pulse_for(ControlRow.MIDPOINT_UP, 0.9, 0.4, self.ANGLES)
-        down, _ = control_pulse_for(ControlRow.MIDPOINT_DOWN, 0.9, 0.4, self.ANGLES)
-        assert up == Angle(22.5)
-        assert down == Angle(0.0).midpoint_toward(Angle(-45.0))
+    def test_midpoint_rows(self, standard_settings):
+        up, _ = self.pulse(ControlRow.MIDPOINT_UP, standard_settings)
+        down, _ = self.pulse(ControlRow.MIDPOINT_DOWN, standard_settings)
+        assert up == 22.5
+        assert down == Angle(0.0).midpoint_toward(Angle(-45.0)).degrees
+        # label 1 keys the pulse to 45 degrees and bisects toward 0 or its perpendicular
+        geometry = control_geometry(standard_settings)
+        assert list(geometry.pol[0, 1]) == [45.0, 22.5, 67.5, 0.0]
 
-    def test_vacuum_row(self):
-        pol, intensity = control_pulse_for(ControlRow.VACUUM, 0.9, 0.4, self.ANGLES)
-        assert pol is None and intensity == 0.0
+    def test_vacuum_row(self, standard_settings):
+        pol, intensity = self.pulse(ControlRow.VACUUM, standard_settings)
+        assert pol == 0.0 and intensity == 0.0
+        assert control_geometry(standard_settings).windows[0][3] == (0.0, math.inf)
 
     def test_row_sampling_frequencies(self, standard_settings):
         a, b = 0.9, 0.4
@@ -321,18 +326,20 @@ class TestControlPulseFor:
             want = 0.5 * np.array([a + b / 2, b / 2, (1 - a) + (1 - b), 0.0])
             np.testing.assert_allclose(alice, want, rtol=0, atol=1e-15)
 
-    def test_a_below_b_rejected(self):
-        with pytest.raises(ValidationError):
-            control_pulse_for(ControlRow.PLAIN_ALIGNED, 0.3, 0.4, self.ANGLES)
-
     def test_infeasible_geometry_raises(self):
-        perpendicular = (Angle(0.0), Angle(90.0))
-        with pytest.raises(InfeasibleGeometry):
-            control_pulse_for(ControlRow.MIDPOINT_UP, 0.9, 0.4, perpendicular)
+        perpendicular = MeasurementSettings.from_degrees(0.0, 90.0, 22.5, 67.5)
+        reasons = {(side, k): reason for side, k, reason in control_geometry(perpendicular).infeasible}
+        assert reasons[0, 1].startswith("no intensity satisfies row midpoint-up")
+        assert self.pulse(ControlRow.MIDPOINT_UP, perpendicular)[1] == 0.0  # left as vacuum
+        with pytest.raises(InfeasibleGeometry, match="row midpoint-up"):
+            PerfectStrategy(
+                PerfectModelSpec(1.0, 1.0, mode=PerfectMode.PHYSICAL_PULSES, role_reversal=False),
+                perpendicular,
+            )
 
-    def test_row_outcomes_through_the_analyzer(self):
+    def test_row_outcomes_through_the_analyzer(self, standard_settings):
         """Each control row forces its documented outcome pattern."""
-        base, other = self.ANGLES
+        analyzer = (standard_settings.alpha0.degrees, standard_settings.alpha1.degrees)
         cases = {
             ControlRow.PLAIN_ALIGNED: (P, Q),
             ControlRow.MIDPOINT_UP: (P, P),    # mismatch lands on the other "+" port
@@ -340,9 +347,8 @@ class TestControlPulseFor:
             ControlRow.VACUUM: (Q, Q),
         }
         for row, (on_match, on_mismatch) in cases.items():
-            pol, intensity = control_pulse_for(row, 0.9, 0.4, self.ANGLES)
-            got = pulse_response(0.0 if pol is None else pol.degrees, intensity,
-                                 (base.degrees, other.degrees), STEP, DoubleClickPolicy.FLAG)
+            pol, intensity = self.pulse(row, standard_settings)
+            got = pulse_response(pol, intensity, analyzer, STEP, DoubleClickPolicy.FLAG)
             assert got[0, CODE[on_match]] == 1.0, row
             assert got[1, CODE[on_mismatch]] == 1.0, row
 
@@ -507,19 +513,19 @@ class TestPerfectEmit:
         assert got[CODE[M], CODE[P]] > 0.0  # the random-mismatch branch occurs
 
     def test_physical_plan_exposes_control_pulse(self, standard_settings):
-        """The physical table is built from control_pulse_for's pulses."""
+        """The physical table is built from control_geometry's pulses."""
         a, b = 0.9, 0.4
         spec = PerfectModelSpec(a, b, mode=PerfectMode.PHYSICAL_PULSES, role_reversal=False)
         table = compiled(spec, standard_settings, policy=DoubleClickPolicy.FLAG)[0]
+        geometry = control_geometry(standard_settings)
         angles = (standard_settings.alpha0, standard_settings.alpha1)
         probs = control_row_probabilities(a, b)
         for basis in (0, 1):
             want = np.zeros(N_STATES)
             for label in (0, 1):
-                for row, p in zip(ControlRow, probs):
-                    pol, intensity = control_pulse_for(row, a, b, (angles[label], angles[1 - label]))
+                for k, p in enumerate(probs):
                     want += 0.5 * p * pulse_response(
-                        0.0 if pol is None else pol.degrees, intensity,
+                        geometry.pol[0, label, k], geometry.intensity[0, label, k],
                         angles[basis].degrees, STEP, DoubleClickPolicy.FLAG,
                     )
             for bob in (0, 1):

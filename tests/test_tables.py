@@ -15,29 +15,29 @@ import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
 from bellsim import (
-    DoubleClickPolicy,
     ExistingModelSpec,
     ImprovedModelSpec,
-    InfeasibleGeometry,
     MeasurementSettings,
-    Outcome,
     PerfectMode,
     PerfectModelSpec,
     QuantumSpec,
     SettingPair,
-    StepThreshold,
-    TwoThreshold,
     ab_from_eta,
     bell_phi_plus,
-    bundled_response_curve,
-    existing_predict,
     improved_predict,
+)
+from bellsim import strategies
+from bellsim.analytic import existing_predict
+from bellsim.core import DoubleClickPolicy, Outcome
+from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve
+from bellsim.optics import OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
+from bellsim.strategies import (
+    InfeasibleGeometry,
+    StationConfig,
+    build_strategy,
     perfect_joint_distribution,
     quantum_joint_probabilities,
 )
-from bellsim.optics import OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
-from bellsim import strategies
-from bellsim.strategies import StationConfig, build_strategy
 
 STANDARD = MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5)
 CODE = {Outcome.PLUS: OUT_PLUS, Outcome.MINUS: OUT_MINUS, Outcome.INCONCLUSIVE: OUT_INCONCLUSIVE}
@@ -200,15 +200,18 @@ def cached_arrays(spec, settings, stations):
             strategies._existing_components(settings, stations),
         ]
     if isinstance(spec, PerfectModelSpec) and spec.mode is PerfectMode.PHYSICAL_PULSES:
-        pol, intensity, _ = strategies._control_geometry(settings, spec.role_reversal)
-        return [strategies._perfect_components(settings, stations, spec.role_reversal), pol, intensity]
+        geometry = strategies.control_geometry(settings)
+        return [
+            strategies._perfect_components(settings, stations, spec.role_reversal),
+            geometry.pol, geometry.intensity,
+        ]
     return []
 
 
 def test_cached_arrays_cover_every_cached_builder():
     names = {builder.__name__ for builder in CACHED_BUILDERS}
     assert names == {
-        "_existing_components", "_improved_components", "_control_geometry", "_perfect_components",
+        "_existing_components", "_improved_components", "control_geometry", "_perfect_components",
     }
 
 
