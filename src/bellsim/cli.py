@@ -25,6 +25,7 @@ from .core import (
     DoubleClickPolicy,
     MeasurementSettings,
     RunSummary,
+    SettingPair,
     SimulationError,
     ValidationError,
 )
@@ -220,13 +221,14 @@ def write_summary_csv(summary: RunSummary, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
+        doubles = dict(zip(SettingPair, summary.counts.doubles))
         for pair in CHSH_ORDER:
-            tally = summary.counts[pair]
+            t = summary.joint_counts[pair]
             writer.writerow([
                 pair.label,
-                tally.n_pp, tally.n_pm, tally.n_mp, tally.n_mm,
-                tally.n_alice_only, tally.n_bob_only, tally.n_neither,
-                tally.n_double_events,
+                t[0, 0], t[0, 1], t[1, 0], t[1, 1],
+                t[0, 2] + t[1, 2], t[2, 0] + t[2, 1], t[2, 2],
+                doubles[pair],
                 _fmt(summary.correlations[pair]),
             ])
         writer.writerow(["S", _fmt(summary.s_value)])
@@ -251,11 +253,11 @@ def print_summary(summary: RunSummary, out=None) -> None:
         file=out,
     )
     print("setting       E  coincidences  doubles", file=out)
+    doubles = dict(zip(SettingPair, summary.counts.doubles))
     for pair in CHSH_ORDER:
-        tally = summary.counts[pair]
         print(
             f"{pair.label:>7}  {summary.correlations[pair]:+.6f}  "
-            f"{tally.n_coincidences:>12}  {tally.n_double_events:>7}",
+            f"{summary.joint_counts[pair][:2, :2].sum():>12}  {doubles[pair]:>7}",
             file=out,
         )
     print(f"S = {summary.s_value:.6f} (SE {summary.se_s:.6f})", file=out)

@@ -33,8 +33,8 @@ __all__ = [
     "CHSH_ORDER",
     "Outcome",
     "DoubleClickPolicy",
-    "SettingTally",
-    "CoincidenceCounts",
+    "fold_doubles",
+    "Counts",
     "RunSummary",
     "check_unit_interval",
 ]
@@ -114,7 +114,7 @@ class MeasurementSettings:
 
 
 class SettingPair(Enum):
-    """One of the four joint basis choices (Alice index, Bob index)."""
+    """One of the four joint basis choices; ``SettingPair((alice, bob))`` looks one up."""
 
     A0B0 = (0, 0)
     A0B1 = (0, 1)
@@ -132,13 +132,6 @@ class SettingPair(Enum):
     @property
     def label(self) -> str:
         return f"a{self.value[0]}b{self.value[1]}"
-
-    @classmethod
-    def from_indices(cls, alice: int, bob: int) -> "SettingPair":
-        return _PAIR_BY_INDEX[(alice, bob)]
-
-
-_PAIR_BY_INDEX = {pair.value: pair for pair in SettingPair}
 
 #: Settings in the order their correlations enter the CHSH combination
 #: (the last one carries the minus sign).
@@ -167,93 +160,60 @@ class DoubleClickPolicy(Enum):
     FLAG = "flag"
 
 
-def _check_count(name: str, value: int) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer count, got {value!r}")
-    if value < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value}")
-    return int(value)
+def fold_doubles(cells) -> np.ndarray:
+    """Outcome-code table (..., 4, 4) of a party-state table (..., 8, 8).
+
+    A party's state is ``code + 4 * double`` (see :mod:`bellsim.optics`);
+    folding sums away whether both of its detectors fired.
+    """
+    cells = np.asarray(cells)
+    return cells.reshape(cells.shape[:-2] + (2, 4, 2, 4)).sum(axis=(-4, -2))
 
 
-@dataclass(frozen=True, slots=True)
-class SettingTally:
-    """Outcome bookkeeping for the trials routed to one joint setting.
+@dataclass(frozen=True, eq=False)
+class Counts:
+    """A run's outcome counts as one read-only int64 array.
 
-    ``n_double_events`` counts trials in which at least one analyzer saw
-    both of its detectors fire. When ``doubles_excluded`` is true (flag
-    policy) those trials sit outside the other categories; otherwise the
-    policy already folded them into the regular categories and the sum of
-    those categories alone equals ``n_trials``.
+    ``cells[k, i, j]`` counts the trials of the ``k``-th setting pair (in
+    :class:`SettingPair` order) in which Alice ended in state ``i`` and Bob
+    in state ``j``, states indexed ``code + 4 * double`` as in
+    :mod:`bellsim.optics`: the layout of a compiled outcome table with its
+    phases summed.
     """
 
-    n_pp: int
-    n_pm: int
-    n_mp: int
-    n_mm: int
-    n_alice_only: int
-    n_bob_only: int
-    n_neither: int
-    n_trials: int
-    n_double_events: int = 0
-    doubles_excluded: bool = False
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("n_pp", "n_pm", "n_mp", "n_mm", "n_alice_only",
-                     "n_bob_only", "n_neither", "n_trials", "n_double_events"):
-            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
-        partitioned = (self.n_pp + self.n_pm + self.n_mp + self.n_mm
-                       + self.n_alice_only + self.n_bob_only + self.n_neither)
-        expected = self.n_trials - (self.n_double_events if self.doubles_excluded else 0)
-        if partitioned != expected:
+        cells = np.array(self.cells)
+        if cells.shape != (4, 8, 8) or cells.dtype.kind != "i" or (cells < 0).any():
             raise ValidationError(
-                f"outcome categories sum to {partitioned} but should sum to {expected} "
-                f"for {self.n_trials} trials (doubles_excluded={self.doubles_excluded})"
+                f"counts must be integers >= 0 of shape (4, 8, 8), got {cells.dtype} {cells.shape}"
             )
-        if not self.doubles_excluded and self.n_double_events > self.n_trials:
-            raise ValidationError("more double events than trials")
+        cells = cells.astype(np.int64, copy=False)
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
 
     @property
-    def n_coincidences(self) -> int:
-        return self.n_pp + self.n_pm + self.n_mp + self.n_mm
+    def joint(self) -> np.ndarray:
+        """Counts per setting pair over outcome codes (Alice, Bob): (4, 4, 4)."""
+        return fold_doubles(self.cells)
 
     @property
-    def n_alice_conclusive(self) -> int:
-        return self.n_coincidences + self.n_alice_only
-
-    @property
-    def n_bob_conclusive(self) -> int:
-        return self.n_coincidences + self.n_bob_only
-
-
-@dataclass(frozen=True)
-class CoincidenceCounts:
-    """Per-setting tallies for a full run; all four settings must be present."""
-
-    per_setting: Mapping[SettingPair, SettingTally]
-
-    def __post_init__(self) -> None:
-        missing = [p.label for p in SettingPair if p not in self.per_setting]
-        if missing:
-            raise ValidationError(f"missing settings in counts: {', '.join(missing)}")
-        extra = [k for k in self.per_setting if not isinstance(k, SettingPair)]
-        if extra:
-            raise ValidationError(f"unknown setting keys in counts: {extra!r}")
-        object.__setattr__(self, "per_setting", dict(self.per_setting))
-
-    def __getitem__(self, pair: SettingPair) -> SettingTally:
-        return self.per_setting[pair]
+    def doubles(self) -> np.ndarray:
+        """Trials per setting pair in which some party's two detectors both fired: (4,)."""
+        return self.cells.sum(axis=(1, 2)) - self.cells[:, :4, :4].sum(axis=(1, 2))
 
     @property
     def total_trials(self) -> int:
-        return sum(t.n_trials for t in self.per_setting.values())
+        return int(self.cells.sum())
 
     @property
     def total_coincidences(self) -> int:
-        return sum(t.n_coincidences for t in self.per_setting.values())
+        return int(self.joint[:, :2, :2].sum())
 
     @property
     def total_double_events(self) -> int:
-        return sum(t.n_double_events for t in self.per_setting.values())
+        return int(self.doubles.sum())
 
 
 def check_unit_interval(name: str, value: float) -> float:
@@ -267,14 +227,15 @@ def check_unit_interval(name: str, value: float) -> float:
 class RunSummary:
     """Statistics of one simulated run (or a merge of compatible runs).
 
-    ``joint_counts`` keeps the full per-setting outcome-by-outcome tables
-    (rows: Alice +, -, ?, D; columns: Bob likewise) for diagnostics such
-    as the no-signalling check. ``seed`` is ``None`` for merged summaries
-    whose inputs used different seeds. ``detector_model`` is the detector
-    the counts were measured with; runs merge only on the same one.
+    ``counts`` holds every trial's outcome; ``joint_counts`` its
+    per-setting outcome-by-outcome tables (rows: Alice +, -, ?, D;
+    columns: Bob likewise), which the no-signalling check reads. ``seed``
+    is ``None`` for merged summaries whose inputs used different seeds.
+    ``detector_model`` is the detector the counts were measured with; runs
+    merge only on the same one.
     """
 
-    counts: CoincidenceCounts
+    counts: Counts
     correlations: Mapping[SettingPair, float]
     s_value: float
     eta_alice: float

@@ -10,24 +10,25 @@ order cannot change a single bit of the result.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
-    CoincidenceCounts,
+    Counts,
     DoubleClickPolicy,
     MeasurementSettings,
     RunSummary,
     SettingPair,
-    SettingTally,
     ValidationError,
+    fold_doubles,
 )
 from .detector import DetectorModel, StepThreshold
-from .inequalities import AllZeroCoincidences, correlation_from_counts
-from .optics import OUTCOME_BY_CODE
+from .inequalities import AllZeroCoincidences, marginal_gaps
+from .optics import N_STATES, OUTCOME_BY_CODE
 from .strategies import StationConfig, StrategySpec, build_strategy
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
     "RunConfig",
     "run",
     "merge",
+    "ChshStatistics",
+    "chsh_statistics",
     "NoSignallingReport",
     "no_signalling_from_tables",
     "empirical_no_signalling",
@@ -83,102 +86,98 @@ def _cell_probabilities(table: np.ndarray) -> np.ndarray:
 
 
 def _run_batch(
-    cells: np.ndarray,
+    probabilities: np.ndarray,
     seed: int,
     batch_index: int,
     start: int,
     size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One batch of trials; returns (joint outcome counts, double-trial counts).
+) -> np.ndarray:
+    """One batch of trials; returns its (4, 8, 8) counts, laid out as :attr:`Counts.cells`.
 
-    Phase ``p`` of ``cells`` covers the trials whose index is ``p`` modulo
-    the number of phases; each phase's counts are one multinomial draw
-    from the batch's stream.
+    Phase ``p`` of ``probabilities`` covers the trials whose index is ``p``
+    modulo the number of phases; each phase's counts are one multinomial
+    draw from the batch's stream.
     """
     rng = _batch_rng(seed, batch_index)
-    phases = len(cells)
+    phases = len(probabilities)
     counts = sum(
-        rng.multinomial(len(range(start + (p - start) % phases, start + size, phases)), cells[p])
+        rng.multinomial(len(range(start + (p - start) % phases, start + size, phases)), probabilities[p])
         for p in range(phases)
     )
-    # Axes: setting, Alice double, Alice code, Bob double, Bob code.
-    counts = counts.reshape(4, 2, 4, 2, 4)
-    joint = counts.sum(axis=(1, 3))
-    doubles = joint.sum(axis=(1, 2)) - counts[:, 0, :, 0, :].sum(axis=(1, 2))
-    return joint, doubles
+    return counts.reshape(4, N_STATES, N_STATES)
 
 
-def _tally_from_table(
-    table: np.ndarray, n_double_events: int, policy: DoubleClickPolicy
-) -> SettingTally:
-    excluded = policy is DoubleClickPolicy.FLAG
-    return SettingTally(
-        n_pp=int(table[0, 0]),
-        n_pm=int(table[0, 1]),
-        n_mp=int(table[1, 0]),
-        n_mm=int(table[1, 1]),
-        n_alice_only=int(table[0, 2] + table[1, 2]),
-        n_bob_only=int(table[2, 0] + table[2, 1]),
-        n_neither=int(table[2, 2]),
-        n_trials=int(table.sum()),
-        n_double_events=int(n_double_events),
-        doubles_excluded=excluded,
+class ChshStatistics(NamedTuple):
+    """The post-selected statistics of one outcome array; see :func:`chsh_statistics`."""
+
+    correlations: dict[SettingPair, float]
+    s_value: float
+    eta_alice: float
+    eta_bob: float
+    eta_symmetric: float
+    se_s: float
+    se_eta_symmetric: float
+
+
+def chsh_statistics(cells) -> ChshStatistics:
+    """E per setting pair, S, the conclusive rates and the SEs of S and eta.
+
+    ``cells`` is laid out as :attr:`Counts.cells` and holds counts, or the
+    probabilities of a compiled table. E of a setting pair counts its
+    coincidences (both parties "+" or "-") only, and S = E00 + E10 + E11 -
+    E01. ``eta_alice`` is the share of trials in which Alice is conclusive
+    and Bob flags no double click, ``eta_bob`` likewise, and
+    ``eta_symmetric`` the square root of the coincidence rate. Raises
+    :class:`AllZeroCoincidences` naming the first setting pair with no
+    coincidences.
+    """
+    joint = fold_doubles(cells)
+    pp, pm, mp, mm = joint[:, 0, 0], joint[:, 0, 1], joint[:, 1, 0], joint[:, 1, 1]
+    coincidences = pp + pm + mp + mm
+    for pair, n_pair in zip(SettingPair, coincidences):
+        if n_pair == 0:
+            raise AllZeroCoincidences(
+                f"setting {pair.label} recorded no coincidences; its correlation is undefined"
+            )
+    e = (pp + mm - pm - mp) / coincidences
+    e00, e01, e10, e11 = e.tolist()
+    n = joint.sum()
+    p_coinc = float(coincidences.sum() / n)
+    eta_symmetric = math.sqrt(p_coinc)
+    se_eta = (
+        math.sqrt(p_coinc * (1.0 - p_coinc) / n) / (2.0 * eta_symmetric)
+        if 0.0 < p_coinc < 1.0
+        else 0.0
+    )
+    return ChshStatistics(
+        correlations=dict(zip(SettingPair, (e00, e01, e10, e11))),
+        s_value=e00 + e10 + e11 - e01,
+        eta_alice=float(joint[:, :2, :3].sum() / n),
+        eta_bob=float(joint[:, :3, :2].sum() / n),
+        eta_symmetric=eta_symmetric,
+        # Left to right in SettingPair order: a pairwise sum could move the last bit.
+        se_s=math.sqrt(sum(((1.0 - e * e) / coincidences).tolist())),
+        se_eta_symmetric=se_eta,
     )
 
 
 def _summarize(
-    joint: Mapping[SettingPair, np.ndarray],
-    doubles: Mapping[SettingPair, int],
+    counts: Counts,
     settings: MeasurementSettings,
     policy: DoubleClickPolicy,
     detector: DetectorModel,
     seed: int | None,
     strategy_label: str,
 ) -> RunSummary:
-    tallies: dict[SettingPair, SettingTally] = {}
-    correlations: dict[SettingPair, float] = {}
-    variance_s = 0.0
-    for pair in SettingPair:
-        tally = _tally_from_table(joint[pair], doubles[pair], policy)
-        tallies[pair] = tally
-        if tally.n_coincidences == 0:
-            raise AllZeroCoincidences(
-                f"setting {pair.label} recorded no coincidences; its correlation is undefined"
-            )
-        e = correlation_from_counts(tally.n_pp, tally.n_pm, tally.n_mp, tally.n_mm)
-        correlations[pair] = e
-        variance_s += (1.0 - e * e) / tally.n_coincidences
-
-    n_trials = sum(t.n_trials for t in tallies.values())
-    s_value = (
-        correlations[SettingPair.A0B0]
-        + correlations[SettingPair.A1B0]
-        + correlations[SettingPair.A1B1]
-        - correlations[SettingPair.A0B1]
-    )
-    n_coinc = sum(t.n_coincidences for t in tallies.values())
-    p_coinc = n_coinc / n_trials
-    eta_symmetric = math.sqrt(p_coinc)
-    se_eta = (
-        math.sqrt(p_coinc * (1.0 - p_coinc) / n_trials) / (2.0 * eta_symmetric)
-        if 0.0 < p_coinc < 1.0
-        else 0.0
-    )
     return RunSummary(
-        counts=CoincidenceCounts(tallies),
-        correlations=correlations,
-        s_value=s_value,
-        eta_alice=sum(t.n_alice_conclusive for t in tallies.values()) / n_trials,
-        eta_bob=sum(t.n_bob_conclusive for t in tallies.values()) / n_trials,
-        eta_symmetric=eta_symmetric,
-        se_s=math.sqrt(variance_s),
-        se_eta_symmetric=se_eta,
-        n_trials=n_trials,
+        counts=counts,
+        **chsh_statistics(counts.cells)._asdict(),
+        n_trials=counts.total_trials,
         seed=seed,
         strategy_label=strategy_label,
         settings=settings,
         double_click_policy=policy,
-        joint_counts={pair: joint[pair].copy() for pair in SettingPair},
+        joint_counts=dict(zip(SettingPair, counts.joint)),
         detector_model=detector,
     )
 
@@ -186,8 +185,8 @@ def _summarize(
 def run(config: RunConfig, workers: int = 1) -> RunSummary:
     """Simulate ``config.n_trials`` trials and summarize the counts.
 
-    ``workers`` only parallelizes batch execution; it never changes the
-    result. Identical (config, seed) gives a bit-identical summary.
+    ``workers`` only parallelizes batch execution, on at most one thread
+    per batch and per CPU; it never changes the result. Identical (config, seed) gives a bit-identical summary.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
@@ -195,7 +194,7 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
     stations = StationConfig.from_settings(
         config.settings, config.detector_model, config.double_click_policy
     )
-    cells = _cell_probabilities(strategy.joint_table(stations))
+    probabilities = _cell_probabilities(strategy.joint_table(stations))
     spans = []
     start = 0
     while start < config.n_trials:
@@ -203,29 +202,17 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
         spans.append((len(spans), start, size))
         start += size
 
-    def job(span: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        return _run_batch(cells, config.seed, *span)
+    def job(span: tuple[int, int, int]) -> np.ndarray:
+        return _run_batch(probabilities, config.seed, *span)
 
-    if workers == 1 or len(spans) == 1:
+    threads = min(workers, len(spans), os.cpu_count() or 1)
+    if threads == 1:
         parts = [job(span) for span in spans]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(job, spans))
-
-    joint_total = np.zeros((4, 4, 4), dtype=np.int64)
-    doubles_total = np.zeros(4, dtype=np.int64)
-    for joint, doubles in parts:
-        joint_total += joint
-        doubles_total += doubles
-
-    joint_by_pair = {
-        SettingPair.from_indices(i >> 1, i & 1): joint_total[i] for i in range(4)
-    }
-    doubles_by_pair = {
-        SettingPair.from_indices(i >> 1, i & 1): int(doubles_total[i]) for i in range(4)
-    }
     return _summarize(
-        joint_by_pair, doubles_by_pair, config.settings,
+        Counts(sum(parts)), config.settings,
         config.double_click_policy, config.detector_model, config.seed, strategy.label,
     )
 
@@ -253,18 +240,10 @@ def merge(summaries: Sequence[RunSummary]) -> RunSummary:
                 f"cannot merge runs with different detectors: {other.detector_model!r} "
                 f"vs {first.detector_model!r}"
             )
-    joint = {
-        pair: sum(s.joint_counts[pair] for s in summaries)
-        for pair in SettingPair
-    }
-    doubles = {
-        pair: sum(s.counts[pair].n_double_events for s in summaries)
-        for pair in SettingPair
-    }
     seeds = {s.seed for s in summaries}
     seed = seeds.pop() if len(seeds) == 1 else None
     return _summarize(
-        joint, doubles, first.settings, first.double_click_policy,
+        Counts(sum(s.counts.cells for s in summaries)), first.settings, first.double_click_policy,
         first.detector_model, seed, first.strategy_label,
     )
 
@@ -287,37 +266,25 @@ def no_signalling_from_tables(
     For every party, own setting and outcome, compares the conditional
     frequency under the two remote settings; passes when every difference
     stays within ``z`` standard errors (exact equality where the standard
-    error vanishes).
+    error vanishes). The worst case is the first largest difference, in
+    the order (own setting, party, outcome).
     """
-    worst = 0.0
+    gap, se, p0, p1 = marginal_gaps(np.stack([tables[pair] for pair in SettingPair]))
+    compared = np.nan_to_num(gap)
+    worst = np.unravel_index(np.argmax(compared), gap.shape)
     worst_case = "no comparisons made"
-    passed = True
-    comparisons: list[tuple[str, int, np.ndarray, np.ndarray]] = []
-    for own in (0, 1):
-        a0 = tables[SettingPair.from_indices(own, 0)]
-        a1 = tables[SettingPair.from_indices(own, 1)]
-        comparisons.append(("alice", own, a0.sum(axis=1), a1.sum(axis=1)))
-        b0 = tables[SettingPair.from_indices(0, own)]
-        b1 = tables[SettingPair.from_indices(1, own)]
-        comparisons.append(("bob", own, b0.sum(axis=0), b1.sum(axis=0)))
-    for party, own, c0, c1 in comparisons:
-        n0, n1 = int(c0.sum()), int(c1.sum())
-        if n0 == 0 or n1 == 0:
-            continue
-        p0 = c0 / n0
-        p1 = c1 / n1
-        for o in range(4):
-            diff = abs(float(p0[o] - p1[o]))
-            se = math.sqrt(p0[o] * (1 - p0[o]) / n0 + p1[o] * (1 - p1[o]) / n1)
-            if diff > worst:
-                worst = diff
-                worst_case = (
-                    f"{party} outcome {OUTCOME_BY_CODE[o].value!r} at own setting {own}: "
-                    f"|{p0[o]:.6g} - {p1[o]:.6g}| = {diff:.3g} vs {z:g} SE = {z * se:.3g}"
-                )
-            if diff > z * se:
-                passed = False
-    return NoSignallingReport(max_discrepancy=worst, passed=passed, worst_case=worst_case, z=z)
+    if compared[worst] > 0.0:
+        own, party, o = worst
+        worst_case = (
+            f"{('alice', 'bob')[party]} outcome {OUTCOME_BY_CODE[o].value!r} at own setting {own}: "
+            f"|{p0[worst]:.6g} - {p1[worst]:.6g}| = {gap[worst]:.3g} vs {z:g} SE = {z * se[worst]:.3g}"
+        )
+    return NoSignallingReport(
+        max_discrepancy=float(compared[worst]),
+        passed=not (gap > z * se).any(),
+        worst_case=worst_case,
+        z=z,
+    )
 
 
 def empirical_no_signalling(summary: RunSummary, z: float = 4.0) -> NoSignallingReport:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import SimulationError, ValidationError
 
 __all__ = [
@@ -12,6 +14,7 @@ __all__ = [
     "ChshCombination",
     "correlation_from_counts",
     "gm_bound",
+    "marginal_gaps",
     "nsim_ndif_ratio",
 ]
 
@@ -57,6 +60,29 @@ def correlation_from_counts(n_pp: float, n_pm: float, n_mp: float, n_mm: float) 
     if total == 0:
         raise AllZeroCoincidences("no coincidences recorded for this setting")
     return (n_pp + n_mm - n_pm - n_mp) / total
+
+
+def marginal_gaps(joint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """How far each party's outcome marginals move with the remote setting.
+
+    ``joint`` holds counts or probabilities over outcome codes: (4 setting
+    pairs in ``SettingPair`` order, Alice's code, Bob's code). Returns
+    ``(gap, se, p0, p1)``, each indexed (own setting, party: Alice then
+    Bob, outcome code): the party's marginal frequencies ``p0`` and ``p1``
+    under remote setting 0 and 1, the gap ``|p0 - p1|`` and its binomial
+    standard error with the marginals' totals as sample sizes. All four
+    are NaN where a remote setting has no entries.
+    """
+    by_setting = np.asarray(joint).reshape(2, 2, 4, 4)
+    alice = by_setting.sum(axis=3)  # (own, remote, code)
+    bob = by_setting.sum(axis=2).swapaxes(0, 1)
+    marginals = np.stack([alice, bob], axis=1)  # (own, party, remote, code)
+    n = marginals.sum(axis=3, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = marginals / n
+        p0, p1 = p[:, :, 0], p[:, :, 1]
+        se = np.sqrt(p0 * (1 - p0) / n[:, :, 0] + p1 * (1 - p1) / n[:, :, 1])
+    return np.abs(p0 - p1), se, p0, p1
 
 
 def gm_bound(eta: float) -> float:

@@ -34,8 +34,10 @@ from .core import (
     Outcome,
     ValidationError,
     check_unit_interval,
+    fold_doubles,
 )
 from .detector import DetectorModel, StepThreshold
+from .inequalities import marginal_gaps
 from .optics import N_STATES, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS, pulse_response
 
 __all__ = [
@@ -597,16 +599,20 @@ class PerfectStrategy:
         if self.spec.mode is PerfectMode.PHYSICAL_PULSES:
             components = _perfect_components(self.settings, stations, self.spec.role_reversal)
             return np.tensordot(self.weights, components, 1)
-        a, b = self.spec.a, self.spec.b
-        match = np.zeros(N_STATES)
-        match[[OUT_PLUS, OUT_INCONCLUSIVE]] = a, 1.0 - a
-        mismatch = np.zeros(N_STATES)
-        mismatch[[OUT_PLUS, OUT_MINUS, OUT_INCONCLUSIVE]] = b / 2.0, b / 2.0, 1.0 - b
-        controlled = np.array([[match, mismatch], [mismatch, match]])
-        return np.stack([
-            _perfect_phase(_HALVES, controlled, reversed_)
-            for reversed_ in _orientations(self.spec.role_reversal)
-        ])
+        return _perfect_analytic_table(self.spec.a, self.spec.b, self.spec.role_reversal)
+
+
+def _perfect_analytic_table(a: float, b: float, role_reversal: bool) -> np.ndarray:
+    """The perfect model's table with outcomes taken straight from (a, b)."""
+    match = np.zeros(N_STATES)
+    match[[OUT_PLUS, OUT_INCONCLUSIVE]] = a, 1.0 - a
+    mismatch = np.zeros(N_STATES)
+    mismatch[[OUT_PLUS, OUT_MINUS, OUT_INCONCLUSIVE]] = b / 2.0, b / 2.0, 1.0 - b
+    controlled = np.array([[match, mismatch], [mismatch, match]])
+    return np.stack([
+        _perfect_phase(_HALVES, controlled, reversed_)
+        for reversed_ in _orientations(role_reversal)
+    ])
 
 
 def perfect_joint_distribution(
@@ -650,37 +656,18 @@ def perfect_joint_distribution(
     return dist
 
 
-_MARGINAL_OUTCOMES = (Outcome.PLUS, Outcome.MINUS, Outcome.INCONCLUSIVE)
-
-
 def perfect_no_signalling_discrepancy(a: float, b: float, role_reversal: bool = False) -> float:
     """Largest cross-setting change of either party's outcome marginals.
 
     Exactly zero for every (a, b): each party's marginal depends only on
-    its own basis and the source label. Computed numerically as the oracle
-    for the no-signalling acceptance check.
+    its own basis and the source label. Computed numerically, on the
+    phase-averaged analytic table, as the oracle for the no-signalling
+    acceptance check.
     """
-    mixtures = [(0.5, False), (0.5, True)] if role_reversal else [(1.0, False)]
-
-    def marginal(party: str, own: int, remote: int) -> dict[Outcome, float]:
-        out: dict[Outcome, float] = {o: 0.0 for o in _MARGINAL_OUTCOMES}
-        for weight, rev in mixtures:
-            for label in (0, 1):
-                ab_basis = (own, remote) if party == "alice" else (remote, own)
-                dist = perfect_joint_distribution(label, ab_basis[0], ab_basis[1], a, b, rev)
-                for (out_a, out_b), p in dist.items():
-                    o = out_a if party == "alice" else out_b
-                    out[o] += 0.5 * weight * p
-        return out
-
-    worst = 0.0
-    for party in ("alice", "bob"):
-        for own in (0, 1):
-            m0 = marginal(party, own, 0)
-            m1 = marginal(party, own, 1)
-            for o in _MARGINAL_OUTCOMES:
-                worst = max(worst, abs(m0[o] - m1[o]))
-    return worst
+    check_unit_interval("a", a)
+    check_unit_interval("b", b)
+    table = _perfect_analytic_table(a, b, role_reversal).mean(axis=0)
+    return float(marginal_gaps(fold_doubles(table))[0].max())
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +694,9 @@ class TwoQubitState:
 
     def rotated(self, alice_deg: float = 0.0, bob_deg: float = 0.0) -> "TwoQubitState":
         """Apply a polarization-plane rotation to each qubit."""
+        for party, deg in (("alice", alice_deg), ("bob", bob_deg)):
+            if not math.isfinite(deg):
+                raise ValidationError(f"{party} rotation must be finite, got {deg!r}")
 
         def rot(deg: float) -> np.ndarray:
             t = math.radians(deg)

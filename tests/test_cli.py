@@ -175,6 +175,29 @@ seed = 12
         s_value = float(re.search(r"^S = ([-\d.]+)", out, flags=re.M).group(1))
         assert abs(s_value - 2.828) < 0.05
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["rotate_a", "rotate_b"])
+    def test_non_finite_rotation_rejected(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, f"""\
+[strategy]
+kind = quantum
+{key} = {value}
+
+[settings]
+alpha0 = 0
+alpha1 = 45
+beta0 = 22.5
+beta1 = 67.5
+
+[engine]
+trials = 1000
+""")
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert ("alice" if key == "rotate_a" else "bob") + " rotation must be finite" in err
+        assert "Traceback" not in err
+
     def test_empirical_detector_from_csv(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
         curve.write_text(

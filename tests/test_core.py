@@ -7,8 +7,7 @@ import pytest
 from bellsim import MeasurementSettings, SettingPair
 from bellsim.core import (
     Angle,
-    CoincidenceCounts,
-    SettingTally,
+    Counts,
     ValidationError,
     normalize_degrees,
 )
@@ -87,49 +86,58 @@ class TestMeasurementSettings:
 class TestSettingPair:
     def test_round_trip(self):
         for pair in SettingPair:
-            assert SettingPair.from_indices(pair.alice, pair.bob) is pair
+            assert SettingPair((pair.alice, pair.bob)) is pair
 
     def test_labels(self):
         assert SettingPair.A0B1.label == "a0b1"
         assert len({p.label for p in SettingPair}) == 4
 
 
-def _tally(**overrides):
-    base = dict(
-        n_pp=10, n_pm=2, n_mp=3, n_mm=5, n_alice_only=4, n_bob_only=6,
-        n_neither=7, n_trials=37, n_double_events=1,
-    )
-    base.update(overrides)
-    return SettingTally(**base)
+def _cells():
+    """Counts of one setting pair repeated four times, with one flagged double."""
+    cells = np.zeros((4, 8, 8), dtype=np.int64)
+    cells[:, 0, 0], cells[:, 0, 1], cells[:, 1, 0], cells[:, 1, 1] = 10, 2, 3, 5
+    cells[:, 0, 2], cells[:, 1, 2] = 3, 1  # Alice conclusive, Bob inconclusive
+    cells[:, 2, 0], cells[:, 2, 1] = 4, 2
+    cells[:, 2, 2] = 7
+    cells[:, 3 + 4, 2] = 1  # Alice flagged both detectors firing
+    return cells
 
 
-class TestSettingTally:
-    def test_partition_enforced(self):
-        tally = _tally()
-        assert tally.n_coincidences == 20
-        assert tally.n_alice_conclusive == 24
-        assert tally.n_bob_conclusive == 26
-        with pytest.raises(ValidationError):
-            _tally(n_trials=38)
+class TestCounts:
+    def test_totals(self):
+        counts = Counts(_cells())
+        assert counts.total_trials == 4 * 38
+        assert counts.total_coincidences == 4 * 20
+        assert counts.total_double_events == 4
+        np.testing.assert_array_equal(counts.joint[0, :3, :3], [[10, 2, 3], [3, 5, 1], [4, 2, 7]])
+        assert counts.joint[0, 3, 2] == 1
 
-    def test_flag_accounting_excludes_doubles(self):
-        _tally(n_trials=38, doubles_excluded=True)  # 37 categorized + 1 double
-        with pytest.raises(ValidationError):
-            _tally(n_trials=37, doubles_excluded=True)
+    def test_doubles_counted_from_the_double_bit(self):
+        cells = _cells()
+        cells[1, 0 + 4, 0 + 4] = 6  # both parties double, folded into "+" by the policy
+        counts = Counts(cells)
+        np.testing.assert_array_equal(counts.doubles, [1, 7, 1, 1])
+        assert counts.joint[1, 0, 0] == 16
 
     def test_negative_counts_rejected(self):
+        cells = _cells()
+        cells[2, 5, 5] = -1
         with pytest.raises(ValidationError):
-            _tally(n_pp=-1)
+            Counts(cells)
 
-
-class TestCoincidenceCounts:
     def test_requires_all_settings(self):
-        full = {pair: _tally() for pair in SettingPair}
-        counts = CoincidenceCounts(full)
-        assert counts.total_trials == 4 * 37
-        assert counts.total_coincidences == 4 * 20
         with pytest.raises(ValidationError):
-            CoincidenceCounts({SettingPair.A0B0: _tally()})
+            Counts(_cells()[:3])
+        with pytest.raises(ValidationError):
+            Counts(_cells().astype(float))
+
+    def test_read_only_copy(self):
+        cells = _cells()
+        counts = Counts(cells)
+        cells[0, 0, 0] = 99
+        assert counts.cells[0, 0, 0] == 10
+        assert not counts.cells.flags.writeable
 
 
 class TestRunSummary:

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bellsim import (
     ExistingModelSpec,
@@ -21,8 +22,9 @@ from bellsim import (
 )
 from bellsim.core import DoubleClickPolicy, ValidationError
 from bellsim.detector import StepThreshold, bundled_response_curve
-from bellsim.engine import BATCH_SIZE, _batch_rng, no_signalling_from_tables
-from bellsim.inequalities import AllZeroCoincidences
+import bellsim.engine
+from bellsim.engine import BATCH_SIZE, _batch_rng, chsh_statistics, no_signalling_from_tables
+from bellsim.inequalities import AllZeroCoincidences, correlation_from_counts
 
 SQRT2 = math.sqrt(2.0)
 A_THRESHOLD = 12.0 * SQRT2 - 16.0
@@ -129,16 +131,16 @@ def noisy_config():
 
 class TestConservationAndBalance:
     def test_trials_partitioned(self, summary):
-        assert summary.counts.total_trials == summary.n_trials
-        for pair in SettingPair:
-            tally = summary.counts[pair]
-            assert tally.n_trials == int(summary.joint_counts[pair].sum())
+        counts = summary.counts
+        assert counts.total_trials == summary.n_trials
+        for pair, cells, joint in zip(SettingPair, counts.cells, counts.joint):
+            assert cells.sum() == joint.sum() == summary.joint_counts[pair].sum()
 
     def test_setting_balance(self, summary):
         n = summary.n_trials
         bound = 4.0 * math.sqrt(n * 3.0 / 16.0)
-        for pair in SettingPair:
-            assert abs(summary.counts[pair].n_trials - n / 4.0) <= bound
+        for per_setting in summary.counts.cells.sum(axis=(1, 2)):
+            assert abs(per_setting - n / 4.0) <= bound
 
     def test_analytic_agreement_at_moderate_size(self, summary):
         from bellsim import improved_predict
@@ -146,6 +148,69 @@ class TestConservationAndBalance:
         prediction = improved_predict(0.4)
         assert abs(summary.s_value - prediction.s) <= 5.0 * summary.se_s
         assert abs(summary.eta_symmetric - prediction.eta) <= 5.0 * summary.se_eta_symmetric
+
+
+def scalar_statistics(cells):
+    """The statistics of a (4, 8, 8) count array, one setting pair at a time."""
+    correlations, variance_s = [], 0.0
+    n_trials = n_coincidences = n_alice = n_bob = 0
+    for t in cells.reshape(4, 2, 4, 2, 4).sum(axis=(1, 3)).tolist():
+        n_pp, n_pm, n_mp, n_mm = t[0][0], t[0][1], t[1][0], t[1][1]
+        coincidences = n_pp + n_pm + n_mp + n_mm
+        e = correlation_from_counts(n_pp, n_pm, n_mp, n_mm)
+        correlations.append(e)
+        variance_s += (1.0 - e * e) / coincidences
+        n_trials += sum(map(sum, t))
+        n_coincidences += coincidences
+        n_alice += coincidences + t[0][2] + t[1][2]
+        n_bob += coincidences + t[2][0] + t[2][1]
+    e00, e01, e10, e11 = correlations
+    p = n_coincidences / n_trials
+    se_eta = math.sqrt(p * (1.0 - p) / n_trials) / (2.0 * math.sqrt(p)) if 0.0 < p < 1.0 else 0.0
+    return (tuple(correlations), e00 + e10 + e11 - e01, n_alice / n_trials, n_bob / n_trials,
+            math.sqrt(p), math.sqrt(variance_s), se_eta)
+
+
+class TestChshStatistics:
+    @hyp_settings(deadline=None)
+    @given(arrays(np.int64, (4, 8, 8), elements=st.integers(0, 10**9)))
+    def test_matches_scalar_reference_bit_for_bit(self, cells):
+        folded = cells.reshape(4, 2, 4, 2, 4).sum(axis=(1, 3))
+        assume(folded[:, :2, :2].sum(axis=(1, 2)).all())
+        stats = chsh_statistics(cells)
+        assert (tuple(stats.correlations.values()), *stats[1:]) == scalar_statistics(cells)
+
+    def test_all_zero_coincidences_names_the_first_empty_setting(self):
+        cells = np.ones((4, 8, 8), dtype=np.int64)
+        cells[2:, :, [0, 1, 4, 5]] = 0  # Bob never conclusive at a1b0 and a1b1
+        with pytest.raises(AllZeroCoincidences, match="setting a1b0 recorded no coincidences"):
+            chsh_statistics(cells)
+
+
+class TestWorkerPool:
+    def test_pool_is_bounded_by_the_batches(self, monkeypatch):
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bellsim.engine, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(bellsim.engine.os, "cpu_count", lambda: 64)
+        config = perfect_config(SETTINGS, n_trials=2 * BATCH_SIZE + 1, seed=26)
+        summary = run(config, workers=10**6)
+        assert sizes == [3]
+        monkeypatch.undo()
+        assert summaries_identical(summary, run(config))
 
 
 class TestErrors:
@@ -159,29 +224,28 @@ class TestErrors:
 class TestDoubleClickAccounting:
     def test_discard_counts_doubles_outside_partition(self, noisy_config):
         summary = run(noisy_config)
-        assert summary.total_double_events > 0
-        for pair in SettingPair:
-            table = summary.joint_counts[pair]
-            assert table[3, :].sum() == 0 and table[:, 3].sum() == 0
+        counts = summary.counts
+        assert summary.total_double_events == counts.doubles.sum() > 0
+        assert not counts.joint[:, 3, :].any() and not counts.joint[:, :, 3].any()
+        assert counts.total_double_events == counts.cells[:, 4:, :].sum() + counts.cells[:, :4, 4:].sum()
 
     def test_flag_surfaces_double_outcomes(self, noisy_config):
         config = dataclasses.replace(noisy_config, double_click_policy=DoubleClickPolicy.FLAG)
-        summary = run(config)
-        flagged = sum(
-            int(t[3, :].sum() + t[:3, 3].sum()) for t in summary.joint_counts.values()
-        )
-        assert flagged == summary.total_double_events > 0
+        counts = run(config).counts
+        flagged = counts.joint[:, 3, :].sum() + counts.joint[:, :3, 3].sum()
+        assert flagged == counts.total_double_events > 0
 
     def test_randomize_keeps_partition_and_counter(self, noisy_config):
         config = dataclasses.replace(noisy_config, double_click_policy=DoubleClickPolicy.RANDOMIZE)
         summary = run(config)
         assert summary.total_double_events > 0
         assert summary.counts.total_trials == summary.n_trials
+        assert not summary.counts.joint[:, 3, :].any() and not summary.counts.joint[:, :, 3].any()
 
     def test_policies_agree_on_double_rate(self, noisy_config):
         discard = run(noisy_config)
         flag = run(dataclasses.replace(noisy_config, double_click_policy=DoubleClickPolicy.FLAG))
-        assert discard.total_double_events == flag.total_double_events
+        np.testing.assert_array_equal(discard.counts.doubles, flag.counts.doubles)
 
 
 class TestMerge:
@@ -220,6 +284,22 @@ class TestMerge:
             t = total[pair]
             e = (t[0, 0] + t[1, 1] - t[0, 1] - t[1, 0]) / (t[:2, :2].sum())
             assert merged.correlations[pair] == pytest.approx(e, abs=1e-15)
+
+    def test_equals_statistics_of_summed_cells(self, standard_settings):
+        runs = [
+            run(perfect_config(standard_settings, n_trials=n, seed=seed))
+            for n, seed in ((30_000, 23), (7_000, 24), (BATCH_SIZE + 5, 25))
+        ]
+        for k in (1, 2, 3):
+            merged = merge(runs[:k])
+            cells = sum(r.counts.cells for r in runs[:k])
+            assert np.array_equal(merged.counts.cells, cells)
+            stats = chsh_statistics(cells)
+            assert merged.correlations == stats.correlations
+            assert (merged.s_value, merged.se_s) == (stats.s_value, stats.se_s)
+            assert (merged.eta_alice, merged.eta_bob) == (stats.eta_alice, stats.eta_bob)
+            assert (merged.eta_symmetric, merged.se_eta_symmetric) == (
+                stats.eta_symmetric, stats.se_eta_symmetric)
 
     def test_incompatible_runs_rejected(self, standard_settings):
         base = run(perfect_config(standard_settings, n_trials=20_000, seed=19))

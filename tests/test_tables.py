@@ -27,15 +27,18 @@ from bellsim import (
     improved_predict,
 )
 from bellsim import strategies
-from bellsim.analytic import existing_predict
+from bellsim.analytic import existing_predict, perfect_predict
 from bellsim.core import DoubleClickPolicy, Outcome
 from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve
+from bellsim.engine import chsh_statistics
+from bellsim.inequalities import AllZeroCoincidences
 from bellsim.optics import OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
 from bellsim.strategies import (
     InfeasibleGeometry,
     StationConfig,
     build_strategy,
     perfect_joint_distribution,
+    quantum_correlation,
     quantum_joint_probabilities,
 )
 
@@ -65,9 +68,23 @@ def oracle_correlations(prediction):
             SettingPair.A1B0: e.e10, SettingPair.A1B1: e.e11}
 
 
+def assert_statistics(table, correlations, s, coincidence_prob):
+    """``chsh_statistics`` of the phase-averaged table against an oracle."""
+    stats = chsh_statistics(table.mean(axis=0))
+    for pair in SettingPair:
+        assert stats.correlations[pair] == pytest.approx(correlations[pair], abs=EXACT)
+    assert stats.s_value == pytest.approx(s, abs=EXACT)
+    assert stats.eta_symmetric == pytest.approx(math.sqrt(coincidence_prob), abs=EXACT)
+
+
+def assert_prediction(table, prediction):
+    assert_statistics(table, oracle_correlations(prediction), prediction.s, prediction.coincidence_prob)
+
+
 class TestOracles:
     @pytest.mark.parametrize("a,b", [(0.9705627484771406, 0.4020202535533866), (0.8, 0.5), (1.0, 1.0), (0.3, 0.0)])
     def test_perfect_analytic_table_is_the_joint_distribution(self, a, b):
+        assert_prediction(compiled(PerfectModelSpec(a, b)), perfect_predict(a, b))
         table = outcomes(compiled(PerfectModelSpec(a, b)))
         for phase, reversed_ in enumerate((False, True)):
             for pair in SettingPair:
@@ -86,11 +103,21 @@ class TestOracles:
             physical = compiled(PerfectModelSpec(a, b, PerfectMode.PHYSICAL_PULSES, role_reversal))
             analytic = compiled(PerfectModelSpec(a, b, PerfectMode.ANALYTIC_TABLE, role_reversal))
             np.testing.assert_allclose(physical, analytic, rtol=0, atol=EXACT)
+            assert_prediction(physical, perfect_predict(a, b))
 
     @pytest.mark.parametrize("eta_true", [0.0, 0.37, 0.9, 1.0])
     def test_quantum_table_is_state_vector_times_erasure(self, eta_true):
         state = bell_phi_plus().rotated(13.0, -27.0)
-        table = outcomes(compiled(QuantumSpec(state, eta_true)))[0]
+        full = compiled(QuantumSpec(state, eta_true))
+        if eta_true == 0.0:
+            with pytest.raises(AllZeroCoincidences):
+                chsh_statistics(full[0])
+        else:
+            e = {pair: quantum_correlation(STANDARD.alice_angle(pair.alice), STANDARD.bob_angle(pair.bob), state)
+                 for pair in SettingPair}
+            s = e[SettingPair.A0B0] + e[SettingPair.A1B0] + e[SettingPair.A1B1] - e[SettingPair.A0B1]
+            assert_statistics(full, e, s, eta_true**2)
+        table = outcomes(full)[0]
         keep = np.array([[eta_true, 0.0, 1.0 - eta_true], [0.0, eta_true, 1.0 - eta_true]])
         for pair in SettingPair:
             q = quantum_joint_probabilities(STANDARD.alice_angle(pair.alice), STANDARD.bob_angle(pair.bob), state)
@@ -102,6 +129,7 @@ class TestOracles:
     def test_existing_table_matches_existing_predict(self, e_target):
         table = compiled(ExistingModelSpec(e_target))
         prediction = existing_predict(e_target)
+        assert_prediction(table, prediction)
         for pair, want in oracle_correlations(prediction).items():
             e, coincidence = correlation_and_coincidence(table, pair)
             assert e == pytest.approx(want, abs=EXACT)
@@ -111,6 +139,7 @@ class TestOracles:
         for p2 in np.linspace(0.0, 1.0, 101):
             table = compiled(ImprovedModelSpec.for_settings(float(p2), STANDARD))
             prediction = improved_predict(float(p2))
+            assert_prediction(table, prediction)
             for pair, want in oracle_correlations(prediction).items():
                 e, coincidence = correlation_and_coincidence(table, pair)
                 assert e == pytest.approx(want, abs=EXACT), (p2, pair)
