@@ -62,11 +62,11 @@ def _fmt(value: float) -> str:
 
 def load_config(path: str | Path) -> configparser.ConfigParser:
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         with path.open(encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
@@ -89,6 +89,12 @@ def _get(
         return cast(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
+
+
+def _parse_path(raw: str) -> str:
+    if "\0" in raw:
+        raise ValueError("a path cannot hold a NUL byte")
+    return raw
 
 
 def _parse_bool(raw: str) -> bool:
@@ -123,7 +129,7 @@ def parse_detector(cp: configparser.ConfigParser) -> DetectorModel:
             i_always=_get(cp, "detector", "i_always", float),
         )
     if model == "empirical":
-        curve_file = _get(cp, "detector", "curve_file", str)
+        curve_file = _get(cp, "detector", "curve_file", _parse_path)
         return read_response_csv(curve_file)
     raise ConfigError(
         f"[detector] model: unknown model {model!r}; valid models: step, two_threshold, empirical"
@@ -281,7 +287,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print_summary(summary)
     out_path = args.out
     if out_path is None and cp.has_section("output"):
-        out_path = _get(cp, "output", "summary_csv", str, None)
+        out_path = _get(cp, "output", "summary_csv", _parse_path, None)
     if out_path:
         write_summary_csv(summary, out_path)
         print(f"summary written to {out_path}")

@@ -141,25 +141,28 @@ def read_response_csv(path: str | Path) -> Empirical:
     and ``.`` as the decimal separator. Blank lines are ignored.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MalformedCurve(f"{path}: empty file, expected header {','.join(_CSV_HEADER)}")
-        if tuple(h.strip().lower() for h in header) != _CSV_HEADER:
-            raise MalformedCurve(
-                f"{path}: bad header {','.join(header)!r}, expected {','.join(_CSV_HEADER)!r}"
-            )
-        rows: list[tuple[float, float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise MalformedCurve(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise MalformedCurve(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise MalformedCurve(f"{path}: empty file, expected header {','.join(_CSV_HEADER)}")
+            if tuple(h.strip().lower() for h in header) != _CSV_HEADER:
+                raise MalformedCurve(
+                    f"{path}: bad header {','.join(header)!r}, expected {','.join(_CSV_HEADER)!r}"
+                )
+            rows: list[tuple[float, float]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != 2:
+                    raise MalformedCurve(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+                try:
+                    rows.append((float(row[0]), float(row[1])))
+                except ValueError as exc:
+                    raise MalformedCurve(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedCurve(f"{path}: not UTF-8 text ({exc})") from exc
     return load_response_curve(rows)
 
 

@@ -1,6 +1,6 @@
 """Monte Carlo trial loop with counter-based per-batch random streams.
 
-A run compiles its strategy to the exact outcome table once, then cuts
+A run compiles its strategy spec to the exact outcome table once, then cuts
 the trial index space into fixed-size batches. Each batch draws its
 counts from that table, one multinomial per trial-parity phase, from its
 own Philox stream keyed by (seed, batch index), so a run's counts are a
@@ -29,7 +29,7 @@ from .core import (
 from .detector import DetectorModel, StepThreshold
 from .inequalities import AllZeroCoincidences, marginal_gaps
 from .optics import N_STATES, OUTCOME_BY_CODE
-from .strategies import StationConfig, StrategySpec, build_strategy
+from .strategies import StrategySpec, joint_table
 
 __all__ = [
     "BATCH_SIZE",
@@ -125,9 +125,9 @@ def chsh_statistics(cells) -> ChshStatistics:
     ``cells`` is laid out as :attr:`Counts.cells` and holds counts, or the
     probabilities of a compiled table. E of a setting pair counts its
     coincidences (both parties "+" or "-") only, and S = E00 + E10 + E11 -
-    E01. ``eta_alice`` is the share of trials in which Alice is conclusive
-    and Bob flags no double click, ``eta_bob`` likewise, and
-    ``eta_symmetric`` the square root of the coincidence rate. Raises
+    E01. ``eta_alice`` is the share of trials in which Alice is conclusive,
+    whatever Bob reports, ``eta_bob`` likewise, and ``eta_symmetric`` the
+    square root of the coincidence rate. Raises
     :class:`AllZeroCoincidences` naming the first setting pair with no
     coincidences.
     """
@@ -152,8 +152,8 @@ def chsh_statistics(cells) -> ChshStatistics:
     return ChshStatistics(
         correlations=dict(zip(SettingPair, (e00, e01, e10, e11))),
         s_value=e00 + e10 + e11 - e01,
-        eta_alice=float(joint[:, :2, :3].sum() / n),
-        eta_bob=float(joint[:, :3, :2].sum() / n),
+        eta_alice=float(joint[:, :2, :].sum() / n),
+        eta_bob=float(joint[:, :, :2].sum() / n),
         eta_symmetric=eta_symmetric,
         # Left to right in SettingPair order: a pairwise sum could move the last bit.
         se_s=math.sqrt(sum(((1.0 - e * e) / coincidences).tolist())),
@@ -190,11 +190,9 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    strategy = build_strategy(config.strategy, config.settings)
-    stations = StationConfig.from_settings(
-        config.settings, config.detector_model, config.double_click_policy
-    )
-    probabilities = _cell_probabilities(strategy.joint_table(stations))
+    probabilities = _cell_probabilities(joint_table(
+        config.strategy, config.settings, config.detector_model, config.double_click_policy
+    ))
     spans = []
     start = 0
     while start < config.n_trials:
@@ -213,7 +211,7 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
             parts = list(pool.map(job, spans))
     return _summarize(
         Counts(sum(parts)), config.settings,
-        config.double_click_policy, config.detector_model, config.seed, strategy.label,
+        config.double_click_policy, config.detector_model, config.seed, config.strategy.label,
     )
 
 

@@ -9,7 +9,7 @@ from bellsim.cli import SUMMARY_COLUMNS, main
 from bellsim.core import DoubleClickPolicy
 from bellsim.detector import StepThreshold
 from bellsim.optics import pulse_response
-from bellsim.strategies import InfeasibleGeometry, StationConfig, build_strategy
+from bellsim.strategies import InfeasibleGeometry, joint_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -196,6 +196,29 @@ trials = 1000
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert ("alice" if key == "rotate_a" else "bob") + " rotation must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, curve, message", [
+        (b"e_target = 50%\n", None, "cannot parse '50%'"),
+        (b"e_target = 0.5\n[engine]\ndouble_click_policy = %(x)s\n", None, "unknown policy '%(x)s'"),
+        (b"e_target = 0.5 # caf\xe9\n", None, "cannot read config"),
+        (b"e_target = 0.5\n[detector]\nmodel = empirical\ncurve_file = {curve}\n",
+         b"energy,click_probability\n0.5\xe9,1\n", "not UTF-8 text"),
+        (b"e_target = 0.5\n[detector]\nmodel = empirical\ncurve_file = a\x00b.csv\n", None, "NUL byte"),
+        (b"e_target = 0.5\n[output]\nsummary_csv = a\x00b.csv\n", None, "NUL byte"),
+    ], ids=["percent", "interpolation", "config-not-utf8", "curve-not-utf8", "curve-nul", "out-nul"])
+    def test_unreadable_input_is_a_config_error(self, tmp_path, capsys, extra, curve, message):
+        if curve is not None:
+            (tmp_path / "curve.csv").write_bytes(curve)
+        config = tmp_path / "config.ini"
+        config.write_bytes(
+            b"[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n[strategy]\nkind = existing\n"
+            + extra.replace(b"{curve}", str(tmp_path / "curve.csv").encode())
+        )
+        assert main(["run", str(config), "--trials", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
         assert "Traceback" not in err
 
     def test_empirical_detector_from_csv(self, tmp_path, capsys):
@@ -436,6 +459,6 @@ beta1 = 67.5
                 refused = [row for row in rows if row in infeasible]
                 if refused:
                     with pytest.raises(InfeasibleGeometry, match=f"row {refused[0]} "):
-                        build_strategy(spec, settings)
+                        joint_table(spec, settings)
                 else:
-                    build_strategy(spec, settings).joint_table(StationConfig.from_settings(settings))
+                    joint_table(spec, settings)

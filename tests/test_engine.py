@@ -162,8 +162,8 @@ def scalar_statistics(cells):
         variance_s += (1.0 - e * e) / coincidences
         n_trials += sum(map(sum, t))
         n_coincidences += coincidences
-        n_alice += coincidences + t[0][2] + t[1][2]
-        n_bob += coincidences + t[2][0] + t[2][1]
+        n_alice += sum(t[0]) + sum(t[1])
+        n_bob += sum(row[0] + row[1] for row in t)
     e00, e01, e10, e11 = correlations
     p = n_coincidences / n_trials
     se_eta = math.sqrt(p * (1.0 - p) / n_trials) / (2.0 * math.sqrt(p)) if 0.0 < p < 1.0 else 0.0
@@ -246,6 +246,14 @@ class TestDoubleClickAccounting:
         discard = run(noisy_config)
         flag = run(dataclasses.replace(noisy_config, double_click_policy=DoubleClickPolicy.FLAG))
         np.testing.assert_array_equal(discard.counts.doubles, flag.counts.doubles)
+
+    def test_flag_and_discard_agree_on_the_etas(self, noisy_config):
+        # A party's conclusive trials count whatever the other party reports,
+        # so flagging the other party's double clicks cannot lower its eta.
+        discard = run(noisy_config)
+        flag = run(dataclasses.replace(noisy_config, double_click_policy=DoubleClickPolicy.FLAG))
+        assert flag.counts.joint[:, :2, 3].sum() > 0 and flag.counts.joint[:, 3, :2].sum() > 0
+        assert (flag.eta_alice, flag.eta_bob) == (discard.eta_alice, discard.eta_bob)
 
 
 class TestMerge:

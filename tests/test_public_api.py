@@ -1,19 +1,23 @@
 """The public surface: the README's examples run and every export resolves.
 
 A helper deleted from a module must leave neither a stale name in an
-``__all__`` nor a README example that no longer runs.
+``__all__`` nor a README example that no longer runs, and a name the
+benchmark calls must not go while the benchmark still calls it.
 """
 import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import bellsim
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SUBMODULES = sorted(
     f"bellsim.{m.name}" for m in pkgutil.iter_modules(bellsim.__path__)
     if m.name != "__main__" and not m.ispkg
@@ -41,3 +45,17 @@ def test_package_exports_exactly_what_it_imports():
         if not n.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(bellsim.__all__)
+
+
+GOLDEN_CONFIGS = sorted(str(p.relative_to(ROOT)) for p in ROOT.glob("tests/data/golden/*.ini"))
+
+
+@pytest.mark.parametrize("command", [
+    ["bench/setup_probe.py", "src", *GOLDEN_CONFIGS],
+    ["-c", "import sys; sys.path[:0] = ['bench', 'src']; import workloads"],
+], ids=["setup-probe", "workloads-import"])
+def test_benchmark_entry_points_run(command):
+    proc = subprocess.run(
+        [sys.executable, *command], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

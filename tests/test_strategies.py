@@ -23,15 +23,12 @@ from bellsim.optics import N_STATES, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS, puls
 from bellsim.strategies import (
     CONTROL_ROWS,
     ControlRow,
-    ExistingStrategy,
     InfeasibleGeometry,
-    PerfectStrategy,
-    StationConfig,
     TwoQubitState,
-    build_strategy,
     control_geometry,
     control_row_probabilities,
     feasible_intensity_window,
+    joint_table,
     perfect_joint_distribution,
     quantum_joint_probabilities,
     source_polarization_cells,
@@ -57,8 +54,7 @@ def chsh_from_correlations(correlations):
 
 def compiled(spec, settings, detector=STEP, policy=DoubleClickPolicy.DISCARD):
     """The strategy's exact table, (phases, 4 settings, 8, 8)."""
-    stations = StationConfig.from_settings(settings, detector, policy)
-    return build_strategy(spec, settings).joint_table(stations)
+    return joint_table(spec, settings, detector, policy)
 
 
 def outcomes(table):
@@ -136,14 +132,12 @@ class TestTable1(object):
         np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-15)
         np.testing.assert_allclose(got.sum(axis=(2, 3)), 1.0, rtol=0, atol=1e-15)
 
-    def test_sampled_similar_different_ratio(self, standard_settings):
-        strategy = ExistingStrategy(ExistingModelSpec(1.0 / SQRT2), standard_settings)
-        n_sim, n_dif = strategy.weights
-        assert n_sim / n_dif == pytest.approx(3.0 + 2.0 * SQRT2, rel=1e-12)
+    def test_sampled_similar_different_ratio(self):
+        spec = ExistingModelSpec(1.0 / SQRT2)
+        assert spec.n_sim / spec.n_dif == pytest.approx(3.0 + 2.0 * SQRT2, rel=1e-12)
 
     def test_perfect_target_emits_only_similar_cells(self, standard_settings):
-        strategy = ExistingStrategy(ExistingModelSpec(1.0), standard_settings)
-        assert strategy.weights[1] == 0.0
+        assert ExistingModelSpec(1.0).n_dif == 0.0
         tables, similar = cell_tables(standard_settings)
         got = compiled(ExistingModelSpec(1.0), standard_settings)[0]
         np.testing.assert_allclose(got, tables[similar].sum(axis=0) / 8.0, rtol=0, atol=1e-15)
@@ -164,6 +158,11 @@ class TestTable1(object):
                     assert conclusive == (1.0 if pol.separation_to(angle) in (0.0, 90.0) else 0.0)
 
 
+def test_joint_table_rejects_an_unknown_spec(standard_settings):
+    with pytest.raises(ValidationError, match="unknown strategy spec"):
+        joint_table(standard_settings, standard_settings)
+
+
 # ---------------------------------------------------------------------------
 # Improved model
 # ---------------------------------------------------------------------------
@@ -172,9 +171,7 @@ class TestTable1(object):
 class TestImprovedModelSpec:
     def test_default_trigger_is_window_midpoint(self, standard_settings):
         spec = ImprovedModelSpec.for_settings(0.3, standard_settings)
-        lo = 1.0 / math.cos(math.radians(22.5)) ** 2
-        assert spec.phi_a == pytest.approx(22.5)
-        assert spec.phi_b == pytest.approx(22.5)
+        lo = 1.0 / math.cos(math.radians(22.5)) ** 2  # both parties' half-separation is 22.5
         assert spec.trigger_intensity == pytest.approx((lo + 2.0) / 2.0, abs=1e-12)
 
     def test_trigger_outside_window_rejected(self, standard_settings):
@@ -187,6 +184,17 @@ class TestImprovedModelSpec:
         settings = MeasurementSettings.from_degrees(0.0, 90.0, 22.5, 67.5)
         with pytest.raises(InfeasibleGeometry):
             ImprovedModelSpec.for_settings(0.3, settings)
+
+    def test_trigger_checked_against_the_settings_of_the_run(self, standard_settings):
+        """A trigger that fits one geometry is refused at angles whose window excludes it."""
+        spec = ImprovedModelSpec.for_settings(0.5, standard_settings, trigger_intensity=1.2)
+        narrow = MeasurementSettings.from_degrees(0.0, 80.0, 10.0, 90.0)  # window [1/cos^2(40), 2)
+        with pytest.raises(ValidationError, match=r"trigger intensity must lie in \[1\.70"):
+            ImprovedModelSpec.for_settings(0.5, narrow, trigger_intensity=1.2)
+        with pytest.raises(ValidationError, match=r"trigger intensity must lie in \[1\.70"):
+            joint_table(spec, narrow)
+        with pytest.raises(ValidationError, match=r"trigger intensity must lie in \[1\.70"):
+            run(RunConfig(strategy=spec, settings=narrow, n_trials=4096, seed=0))
 
 
 class TestImprovedEmission:
@@ -332,7 +340,7 @@ class TestControlPulseFor:
         assert reasons[0, 1].startswith("no intensity satisfies row midpoint-up")
         assert self.pulse(ControlRow.MIDPOINT_UP, perpendicular)[1] == 0.0  # left as vacuum
         with pytest.raises(InfeasibleGeometry, match="row midpoint-up"):
-            PerfectStrategy(
+            joint_table(
                 PerfectModelSpec(1.0, 1.0, mode=PerfectMode.PHYSICAL_PULSES, role_reversal=False),
                 perpendicular,
             )
@@ -466,7 +474,7 @@ class TestPerfectSampling:
 
     def test_physical_mode_requires_a_geq_b(self, standard_settings):
         with pytest.raises(ValidationError):
-            PerfectStrategy(
+            joint_table(
                 PerfectModelSpec(0.3, 0.6, mode=PerfectMode.PHYSICAL_PULSES),
                 standard_settings,
             )
@@ -474,7 +482,7 @@ class TestPerfectSampling:
     def test_physical_mode_infeasible_geometry_surfaces(self):
         settings = MeasurementSettings.from_degrees(0.0, 90.0, 22.5, 67.5)
         with pytest.raises(InfeasibleGeometry):
-            PerfectStrategy(
+            joint_table(
                 PerfectModelSpec(0.9, 0.4, mode=PerfectMode.PHYSICAL_PULSES),
                 settings,
             )
@@ -488,7 +496,7 @@ class TestPerfectSampling:
         np.testing.assert_allclose(table[0, :, OUT_INCONCLUSIVE, :].sum(axis=1), 1.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(table[1, :, :, OUT_INCONCLUSIVE].sum(axis=1), 1.0, rtol=0, atol=1e-15)
         with pytest.raises(InfeasibleGeometry, match="no intensity satisfies row plain-aligned"):
-            PerfectStrategy(PerfectModelSpec(0.9, 0.4, mode=PerfectMode.PHYSICAL_PULSES), settings)
+            joint_table(PerfectModelSpec(0.9, 0.4, mode=PerfectMode.PHYSICAL_PULSES), settings)
 
 
 class TestPerfectEmit:

@@ -35,8 +35,7 @@ from bellsim.inequalities import AllZeroCoincidences
 from bellsim.optics import OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
 from bellsim.strategies import (
     InfeasibleGeometry,
-    StationConfig,
-    build_strategy,
+    joint_table,
     perfect_joint_distribution,
     quantum_correlation,
     quantum_joint_probabilities,
@@ -48,8 +47,7 @@ EXACT = 1e-12
 
 
 def compiled(spec, settings=STANDARD, detector=StepThreshold(), policy=DoubleClickPolicy.DISCARD):
-    stations = StationConfig.from_settings(settings, detector, policy)
-    return build_strategy(spec, settings).joint_table(stations)
+    return joint_table(spec, settings, detector, policy)
 
 
 def outcomes(table):
@@ -169,7 +167,7 @@ def specs(draw, settings):
     if kind == "existing":
         return ExistingModelSpec(draw(unit))
     if kind == "improved":
-        lo = ImprovedModelSpec.for_settings(0.0, settings).min_trigger_intensity
+        lo, _ = strategies._trigger_window(settings)
         trigger = draw(st.none() | st.floats(lo, 2.0, exclude_max=True))
         return ImprovedModelSpec.for_settings(draw(unit), settings, trigger)
     if kind == "perfect":
@@ -219,19 +217,19 @@ def clear_caches():
         builder.cache_clear()
 
 
-def cached_arrays(spec, settings, stations):
+def cached_arrays(spec, settings, detector, policy):
     """Every cached array that compiling ``spec`` reads."""
     if isinstance(spec, ExistingModelSpec):
-        return [strategies._existing_components(settings, stations)]
+        return [strategies._existing_components(settings, detector, policy)]
     if isinstance(spec, ImprovedModelSpec):
         return [
-            strategies._improved_components(settings, stations, spec.trigger_intensity),
-            strategies._existing_components(settings, stations),
+            strategies._improved_components(settings, detector, policy, spec.trigger_intensity),
+            strategies._existing_components(settings, detector, policy),
         ]
     if isinstance(spec, PerfectModelSpec) and spec.mode is PerfectMode.PHYSICAL_PULSES:
         geometry = strategies.control_geometry(settings)
         return [
-            strategies._perfect_components(settings, stations, spec.role_reversal),
+            strategies._perfect_components(settings, detector, policy, spec.role_reversal),
             geometry.pol, geometry.intensity,
         ]
     return []
@@ -247,9 +245,10 @@ def test_cached_arrays_cover_every_cached_builder():
 @hyp_settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cached_components_never_change_a_table(data):
-    # Every spec is compiled under each of a few stations on its settings,
-    # so compiles both fill and reuse the caches, and stations that differ
-    # only in their detector or policy meet the same settings.
+    # Every spec is compiled under each of a few (detector, policy) pairs
+    # on its settings, so compiles both fill and reuse the caches, and
+    # pairs that differ only in their detector or policy meet the same
+    # settings.
     angles = data.draw(st.lists(settings_(), min_size=1, max_size=2))
     geometries = data.draw(st.lists(
         st.tuples(st.sampled_from(angles), detectors, st.sampled_from(DoubleClickPolicy)),
@@ -260,17 +259,13 @@ def test_cached_components_never_change_a_table(data):
         settings = data.draw(st.sampled_from(angles))
         try:
             spec = data.draw(specs(settings))
-            build_strategy(spec, settings)
+            joint_table(spec, settings)
         except InfeasibleGeometry:
             continue
-        jobs += [
-            (spec, settings, StationConfig.from_settings(*geometry))
-            for geometry in geometries if geometry[0] == settings
-        ]
+        jobs += [(spec, *geometry) for geometry in geometries if geometry[0] == settings]
 
     def compile_(job):
-        spec, settings, stations = job
-        return build_strategy(spec, settings).joint_table(stations)
+        return joint_table(*job)
 
     clear_caches()
     in_order = [compile_(job) for job in jobs]
