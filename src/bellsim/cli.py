@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -296,32 +297,36 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 _SWEEP_FAMILY = {"p2": "improved", "eta": "perfect", "etarget": "existing"}
 
+#: Most grid points one sweep may ask for.
+_MAX_SWEEP_STEPS = 1_000_000
 
-def _sweep_point_spec(
-    var: str, x: float, cp: configparser.ConfigParser, settings: MeasurementSettings
-) -> tuple[StrategySpec, Any]:
+
+def _sweep_points(
+    var: str, cp: configparser.ConfigParser, settings: MeasurementSettings
+) -> Callable[[float], tuple[StrategySpec, Any]]:
+    """The function from a grid value to its spec and closed-form prediction."""
     if var == "p2":
-        spec = ImprovedModelSpec.for_settings(
-            p2=x, settings=settings,
-            trigger_intensity=_get(cp, "strategy", "trigger_intensity", float, None),
-        )
-        return spec, analytic.improved_predict(x)
-    if var == "eta":
+        trigger = _get(cp, "strategy", "trigger_intensity", float, None)
+        return lambda x: (ImprovedModelSpec.for_settings(x, settings, trigger), analytic.improved_predict(x))
+    if var == "etarget":
+        return lambda x: (ExistingModelSpec(e_target=x), analytic.existing_predict(x))
+    mode = _parse_perfect_mode(cp)
+    role_reversal = _get(cp, "strategy", "role_reversal", _parse_bool, True)
+
+    def point(x: float) -> tuple[StrategySpec, Any]:
         a, b, _ = analytic.ab_from_eta(x)
-        spec = PerfectModelSpec(
-            a=a, b=b, mode=_parse_perfect_mode(cp),
-            role_reversal=_get(cp, "strategy", "role_reversal", _parse_bool, True),
-        )
-        return spec, analytic.perfect_predict(a, b)
-    spec = ExistingModelSpec(e_target=x)
-    return spec, analytic.existing_predict(x)
+        return PerfectModelSpec(a, b, mode, role_reversal), analytic.perfect_predict(a, b)
+
+    return point
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cp = load_config(args.config)
     settings = parse_settings(cp)
-    if args.steps < 2:
-        raise ConfigError(f"--steps must be at least 2, got {args.steps}")
+    if not 2 <= args.steps <= _MAX_SWEEP_STEPS:
+        raise ConfigError(f"--steps must lie in [2, {_MAX_SWEEP_STEPS}], got {args.steps}")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ConfigError(f"--from and --to must be finite, got {args.start!r} and {args.stop!r}")
     if not args.start < args.stop:
         raise ConfigError(f"need --from < --to, got {args.start!r} >= {args.stop!r}")
     kind = _get(cp, "strategy", "kind", str).lower()
@@ -334,12 +339,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policy = _parse_policy(cp)
     trials = args.trials if args.trials is not None else _get(cp, "engine", "trials", int, 100_000)
     base_seed = args.seed if args.seed is not None else _get(cp, "engine", "seed", int, 0)
+    sweep_point = _sweep_points(args.var, cp, settings)
 
-    xs = np.linspace(args.start, args.stop, args.steps)
     rows = []
-    for i, x in enumerate(xs):
-        x = float(x)
-        spec, prediction = _sweep_point_spec(args.var, x, cp, settings)
+    for i, x in enumerate(np.linspace(args.start, args.stop, args.steps).tolist()):
+        spec, prediction = sweep_point(x)
         row = [
             _fmt(x), _fmt(prediction.eta), _fmt(prediction.s), _fmt(gm_bound(prediction.eta)),
         ]
@@ -428,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Which parameter to sweep")
     p_sweep.add_argument("--from", dest="start", type=float, required=True, help="First grid value")
     p_sweep.add_argument("--to", dest="stop", type=float, required=True, help="Last grid value")
-    p_sweep.add_argument("--steps", type=int, required=True, help="Number of grid points (>= 2)")
+    p_sweep.add_argument("--steps", type=int, required=True,
+                         help=f"Number of grid points, 2 to {_MAX_SWEEP_STEPS}")
     p_sweep.add_argument("--out", required=True, help="Output CSV path")
     p_sweep.add_argument("--mc", action=argparse.BooleanOptionalAction, default=True,
                          help="Also run Monte Carlo at each grid point")

@@ -22,6 +22,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .detector import DetectorModel
+    from .strategies import StrategySpec
 
 __all__ = [
     "ValidationError",
@@ -231,8 +232,8 @@ class RunSummary:
     per-setting outcome-by-outcome tables (rows: Alice +, -, ?, D;
     columns: Bob likewise), which the no-signalling check reads. ``seed``
     is ``None`` for merged summaries whose inputs used different seeds.
-    ``detector_model`` is the detector the counts were measured with; runs
-    merge only on the same one.
+    ``spec`` and ``detector_model`` are the strategy and the detector the
+    counts were measured with; runs merge only on equal ones.
     """
 
     counts: Counts
@@ -245,7 +246,7 @@ class RunSummary:
     se_eta_symmetric: float
     n_trials: int
     seed: int | None
-    strategy_label: str
+    spec: StrategySpec
     settings: MeasurementSettings
     double_click_policy: DoubleClickPolicy
     joint_counts: Mapping[SettingPair, np.ndarray]
@@ -262,6 +263,10 @@ class RunSummary:
         check_unit_interval("eta_symmetric", self.eta_symmetric)
         object.__setattr__(self, "correlations", dict(self.correlations))
         object.__setattr__(self, "joint_counts", dict(self.joint_counts))
+
+    @property
+    def strategy_label(self) -> str:
+        return self.spec.label
 
     @property
     def total_double_events(self) -> int:

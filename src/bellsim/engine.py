@@ -49,6 +49,8 @@ BATCH_SIZE = 1 << 16
 #: Seeds are the 64-bit entropy of each batch's stream: [0, 2**64).
 _SEED_LIMIT = 1 << 64
 
+_PAIRS = tuple(SettingPair)
+
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
@@ -132,17 +134,25 @@ def chsh_statistics(cells) -> ChshStatistics:
     coincidences.
     """
     joint = fold_doubles(cells)
-    pp, pm, mp, mm = joint[:, 0, 0], joint[:, 0, 1], joint[:, 1, 0], joint[:, 1, 1]
-    coincidences = pp + pm + mp + mm
-    for pair, n_pair in zip(SettingPair, coincidences):
-        if n_pair == 0:
+    return _statistics(joint, joint.sum().item())
+
+
+def _statistics(joint: np.ndarray, n) -> ChshStatistics:
+    """:func:`chsh_statistics` of folded cells ``joint`` (4, 4, 4) that sum to ``n``.
+
+    Plain Python per setting pair, in the order the array code used, so no bit moves.
+    """
+    correlations, coincidences = [], []
+    for pair, (pp, pm, mp, mm) in zip(_PAIRS, joint[:, :2, :2].reshape(4, 4).tolist()):
+        c = pp + pm + mp + mm
+        if c == 0:
             raise AllZeroCoincidences(
                 f"setting {pair.label} recorded no coincidences; its correlation is undefined"
             )
-    e = (pp + mm - pm - mp) / coincidences
-    e00, e01, e10, e11 = e.tolist()
-    n = joint.sum()
-    p_coinc = float(coincidences.sum() / n)
+        correlations.append((pp + mm - pm - mp) / c)
+        coincidences.append(c)
+    e00, e01, e10, e11 = correlations
+    p_coinc = sum(coincidences) / n
     eta_symmetric = math.sqrt(p_coinc)
     se_eta = (
         math.sqrt(p_coinc * (1.0 - p_coinc) / n) / (2.0 * eta_symmetric)
@@ -150,13 +160,13 @@ def chsh_statistics(cells) -> ChshStatistics:
         else 0.0
     )
     return ChshStatistics(
-        correlations=dict(zip(SettingPair, (e00, e01, e10, e11))),
+        correlations=dict(zip(_PAIRS, correlations)),
         s_value=e00 + e10 + e11 - e01,
-        eta_alice=float(joint[:, :2, :].sum() / n),
-        eta_bob=float(joint[:, :, :2].sum() / n),
+        eta_alice=joint[:, :2, :].sum().item() / n,
+        eta_bob=joint[:, :, :2].sum().item() / n,
         eta_symmetric=eta_symmetric,
         # Left to right in SettingPair order: a pairwise sum could move the last bit.
-        se_s=math.sqrt(sum(((1.0 - e * e) / coincidences).tolist())),
+        se_s=math.sqrt(sum((1.0 - e * e) / c for e, c in zip(correlations, coincidences))),
         se_eta_symmetric=se_eta,
     )
 
@@ -167,17 +177,19 @@ def _summarize(
     policy: DoubleClickPolicy,
     detector: DetectorModel,
     seed: int | None,
-    strategy_label: str,
+    spec: StrategySpec,
 ) -> RunSummary:
+    joint = fold_doubles(counts.cells)
+    n_trials = joint.sum().item()
     return RunSummary(
         counts=counts,
-        **chsh_statistics(counts.cells)._asdict(),
-        n_trials=counts.total_trials,
+        **_statistics(joint, n_trials)._asdict(),
+        n_trials=n_trials,
         seed=seed,
-        strategy_label=strategy_label,
+        spec=spec,
         settings=settings,
         double_click_policy=policy,
-        joint_counts=dict(zip(SettingPair, counts.joint)),
+        joint_counts=dict(zip(_PAIRS, joint)),
         detector_model=detector,
     )
 
@@ -186,49 +198,47 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
     """Simulate ``config.n_trials`` trials and summarize the counts.
 
     ``workers`` only parallelizes batch execution, on at most one thread
-    per batch and per CPU; it never changes the result. Identical (config, seed) gives a bit-identical summary.
+    per batch and per CPU; it never changes the result. Identical (config,
+    seed) gives a bit-identical summary.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     probabilities = _cell_probabilities(joint_table(
         config.strategy, config.settings, config.detector_model, config.double_click_policy
     ))
-    spans = []
-    start = 0
-    while start < config.n_trials:
-        size = min(BATCH_SIZE, config.n_trials - start)
-        spans.append((len(spans), start, size))
-        start += size
+    starts = range(0, config.n_trials, BATCH_SIZE)
 
-    def job(span: tuple[int, int, int]) -> np.ndarray:
-        return _run_batch(probabilities, config.seed, *span)
+    def job(batch: tuple[int, int]) -> np.ndarray:
+        index, start = batch
+        return _run_batch(probabilities, config.seed, index, start, min(BATCH_SIZE, config.n_trials - start))
 
-    threads = min(workers, len(spans), os.cpu_count() or 1)
+    threads = min(workers, len(starts))
+    if threads > 1:
+        threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
-        parts = [job(span) for span in spans]
+        cells = sum(map(job, enumerate(starts)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, spans))
+            cells = sum(pool.map(job, enumerate(starts)))
     return _summarize(
-        Counts(sum(parts)), config.settings,
-        config.double_click_policy, config.detector_model, config.seed, config.strategy.label,
+        Counts(cells), config.settings,
+        config.double_click_policy, config.detector_model, config.seed, config.strategy,
     )
 
 
 def merge(summaries: Sequence[RunSummary]) -> RunSummary:
     """Combine runs that differ only by seed, recomputing all statistics.
 
-    Counts add component-wise, so the merge is associative and commutative.
-    The merged seed is kept only if every input used the same one.
+    Runs merge only if their specs, settings, policies and detectors are
+    equal. Counts add component-wise, so the merge is associative and
+    commutative. The merged seed is kept only if every input used the same one.
     """
     if not summaries:
         raise ValidationError("nothing to merge")
     first = summaries[0]
     for other in summaries[1:]:
-        if other.strategy_label != first.strategy_label:
-            raise ValidationError(
-                f"cannot merge different strategies: {other.strategy_label!r} vs {first.strategy_label!r}"
-            )
+        if other.spec != first.spec:
+            raise ValidationError(f"cannot merge different strategies: {other.spec!r} vs {first.spec!r}")
         if other.settings != first.settings:
             raise ValidationError("cannot merge runs with different measurement settings")
         if other.double_click_policy is not first.double_click_policy:
@@ -242,7 +252,7 @@ def merge(summaries: Sequence[RunSummary]) -> RunSummary:
     seed = seeds.pop() if len(seeds) == 1 else None
     return _summarize(
         Counts(sum(s.counts.cells for s in summaries)), first.settings, first.double_click_policy,
-        first.detector_model, seed, first.strategy_label,
+        first.detector_model, seed, first.spec,
     )
 
 

@@ -11,11 +11,11 @@ The local strategies state their locality structure once, in
 :func:`_local_table`: the emission weights cannot see the settings, and
 each party's response depends only on the emission and its own basis.
 
-The pulse strategies split each table into weight-free components that
-hold all the pulse physics, and a weight per component taken from the
-spec. The components are cached per (settings, detector, policy, ...)
-and read-only; a table is their weighted sum, so a sweep over the
-weights evaluates the physics once.
+The local strategies split each table into weight-free components,
+which hold all the pulse physics, and a weight per component taken from
+the spec. The components are cached per (settings, detector, policy, ...)
+and read-only; a table is their weighted sum, :func:`_mix`, so a sweep
+over the weights evaluates the physics once.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .core import (
     Angle,
     DoubleClickPolicy,
     MeasurementSettings,
-    Outcome,
     ValidationError,
     check_unit_interval,
     fold_doubles,
@@ -55,7 +54,6 @@ __all__ = [
     "control_geometry",
     "source_polarization_cells",
     "joint_table",
-    "perfect_joint_distribution",
     "perfect_no_signalling_discrepancy",
     "TwoQubitState",
     "bell_phi_plus",
@@ -194,7 +192,7 @@ class PerfectModelSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuantumSpec:
     """Honest baseline: a shared two-qubit state measured at true efficiency."""
 
@@ -244,6 +242,11 @@ def _local_table(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarra
 
 #: Geometries (settings, detector, policy, pulse parameters) kept per cached builder.
 _CACHE_SIZE = 64
+
+
+def _mix(weights, components: np.ndarray) -> np.ndarray:
+    """The fresh table ``sum_k weights[k] * components[k]``."""
+    return (np.array(weights) @ components.reshape(len(weights), -1)).reshape(components.shape[1:])
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -419,11 +422,6 @@ def feasible_intensity_window(
 # ---------------------------------------------------------------------------
 
 
-def _orientations(role_reversal: bool) -> tuple[bool, ...]:
-    """Whether roles are reversed in each trial-parity phase."""
-    return (False, True) if role_reversal else (False,)
-
-
 def _deterministic(reversed_: bool) -> np.ndarray:
     """The other party's certain outcome per label and basis, (2, 2, 8).
 
@@ -438,17 +436,24 @@ def _deterministic(reversed_: bool) -> np.ndarray:
     return np.eye(N_STATES)[codes]
 
 
-def _perfect_phase(w: np.ndarray, controlled: np.ndarray, reversed_: bool) -> np.ndarray:
-    """One phase's table(s) of emissions ordered by label first.
+#: Per part, the weights of the (label, part) emissions that make it up:
+#: 1/2 for each label, on that part only.
+_PART_EMISSIONS = _frozen(0.5 * np.tile(np.eye(4), 2))
 
-    ``controlled`` (E, 2 bases, 8) is the controlled party's state
-    distribution per emission; the first half of the emissions carry
-    label 0, the second half label 1. ``w`` weighs them as in
-    :func:`_local_table`.
+
+def _perfect_parts(controlled: list[np.ndarray]) -> np.ndarray:
+    """The table of each of four parts alone, (4 parts, phases, 4, 8, 8).
+
+    Phase ``p`` controls side ``p`` (1 = Bob only with role reversal), whose
+    states per label (each drawn at 1/2), part and basis are ``controlled[p]``.
     """
-    det = np.repeat(_deterministic(reversed_), len(controlled) // 2, axis=0)
-    alice, bob = (det, controlled) if reversed_ else (controlled, det)
-    return _local_table(w, alice, bob)
+    phases = []
+    for reversed_, emissions in zip((False, True), controlled):
+        det = np.repeat(_deterministic(reversed_), 4, axis=0)
+        emissions = emissions.reshape(-1, 2, N_STATES)
+        alice, bob = (det, emissions) if reversed_ else (emissions, det)
+        phases.append(_local_table(_PART_EMISSIONS, alice, bob))
+    return _frozen(np.stack(phases, axis=1))
 
 
 class ControlGeometry(NamedTuple):
@@ -511,11 +516,6 @@ def control_geometry(settings: MeasurementSettings) -> ControlGeometry:
     )
 
 
-#: Per control row, the weights of the (label, row) emissions that make
-#: up its component: 1/2 for each label, on that row only.
-_ROW_COMPONENTS = _frozen(0.5 * np.tile(np.eye(len(CONTROL_ROWS)), 2))
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _perfect_components(
     settings: MeasurementSettings,
@@ -525,70 +525,30 @@ def _perfect_components(
 ) -> np.ndarray:
     """The table of each control row alone, (4 rows, phases, 4, 8, 8)."""
     geometry = control_geometry(settings)
-    phases = []
-    for reversed_ in _orientations(role_reversal):
-        side = int(reversed_)
-        controlled = _response(
-            geometry.pol[side], geometry.intensity[side], settings, side, detector, policy
-        )
-        phases.append(_perfect_phase(
-            _ROW_COMPONENTS, controlled.reshape(-1, 2, N_STATES), reversed_
-        ))
-    return _frozen(np.stack(phases, axis=1))
+    return _perfect_parts([
+        _response(geometry.pol[side], geometry.intensity[side], settings, side, detector, policy)
+        for side in range(1 + role_reversal)
+    ])
+
+
+@lru_cache(maxsize=2)
+def _analytic_components(role_reversal: bool) -> np.ndarray:
+    """The analytic model's parts for weights ``(a, 1 - a, b/2, 1 - b)``.
+
+    The controlled side reports "+" (part 0) or "?" (part 1) in the label's
+    basis, and "+" and "-" (part 2) or "?" (part 3) in the other.
+    """
+    controlled = np.zeros((2, 4, 2, N_STATES))
+    for label in (0, 1):
+        match, mismatch = controlled[label, :, label], controlled[label, :, 1 - label]
+        match[0, OUT_PLUS] = match[1, OUT_INCONCLUSIVE] = 1.0
+        mismatch[2, [OUT_PLUS, OUT_MINUS]] = mismatch[3, OUT_INCONCLUSIVE] = 1.0
+    return _perfect_parts([controlled] * (1 + role_reversal))
 
 
 def _perfect_analytic_table(a: float, b: float, role_reversal: bool) -> np.ndarray:
     """The perfect model's table with outcomes taken straight from (a, b)."""
-    match = np.zeros(N_STATES)
-    match[[OUT_PLUS, OUT_INCONCLUSIVE]] = a, 1.0 - a
-    mismatch = np.zeros(N_STATES)
-    mismatch[[OUT_PLUS, OUT_MINUS, OUT_INCONCLUSIVE]] = b / 2.0, b / 2.0, 1.0 - b
-    controlled = np.array([[match, mismatch], [mismatch, match]])
-    return np.stack([
-        _perfect_phase(_HALVES, controlled, reversed_)
-        for reversed_ in _orientations(role_reversal)
-    ])
-
-
-def perfect_joint_distribution(
-    label: int,
-    alice_basis: int,
-    bob_basis: int,
-    a: float,
-    b: float,
-    role_reversed: bool = False,
-) -> dict[tuple[Outcome, Outcome], float]:
-    """Exact joint outcome distribution for one source label and setting pair.
-
-    Probabilities over {+, -, ?} x {+, -, ?}; zero-probability outcomes are
-    omitted. This is the closed form the compiled tables are tested against.
-    """
-    check_unit_interval("a", a)
-    check_unit_interval("b", b)
-    if label not in (0, 1) or alice_basis not in (0, 1) or bob_basis not in (0, 1):
-        raise ValidationError("label and basis indices must be 0 or 1")
-    ctrl_basis = bob_basis if role_reversed else alice_basis
-    det_basis = alice_basis if role_reversed else bob_basis
-    if role_reversed:
-        det_minus = label == 1 and det_basis == 0
-    else:
-        det_minus = label == 0 and det_basis == 1
-    det_out = Outcome.MINUS if det_minus else Outcome.PLUS
-    if ctrl_basis == label:
-        ctrl_dist = {Outcome.PLUS: a, Outcome.INCONCLUSIVE: 1.0 - a}
-    else:
-        ctrl_dist = {
-            Outcome.PLUS: b / 2.0,
-            Outcome.MINUS: b / 2.0,
-            Outcome.INCONCLUSIVE: 1.0 - b,
-        }
-    dist: dict[tuple[Outcome, Outcome], float] = {}
-    for ctrl_out, p in ctrl_dist.items():
-        if p == 0.0:
-            continue
-        key = (det_out, ctrl_out) if role_reversed else (ctrl_out, det_out)
-        dist[key] = dist.get(key, 0.0) + p
-    return dist
+    return _mix((a, 1.0 - a, b / 2.0, 1.0 - b), _analytic_components(role_reversal))
 
 
 def perfect_no_signalling_discrepancy(a: float, b: float, role_reversal: bool = False) -> float:
@@ -612,7 +572,10 @@ def perfect_no_signalling_discrepancy(a: float, b: float, role_reversal: bool = 
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """A normalized two-qubit polarization state (amplitude order HH, HV, VH, VV)."""
+    """A normalized two-qubit polarization state (amplitude order HH, HV, VH, VV).
+
+    Equal amplitudes make equal states, so a state parsed twice is one value.
+    """
 
     amplitudes: np.ndarray
 
@@ -621,11 +584,19 @@ class TwoQubitState:
         if amps.shape != (4,):
             raise ValidationError(f"state needs 4 amplitudes, got shape {amps.shape}")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValidationError(f"state must be normalized, got |psi|^2 = {norm!r}")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TwoQubitState):
+            return NotImplemented
+        return self.amplitudes.tolist() == other.amplitudes.tolist()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.amplitudes.tolist()))
 
     def rotated(self, alice_deg: float = 0.0, bob_deg: float = 0.0) -> "TwoQubitState":
         """Apply a polarization-plane rotation to each qubit."""
@@ -706,19 +677,18 @@ def joint_table(
     support on a side the model controls.
     """
     if isinstance(spec, ExistingModelSpec):
-        components = _existing_components(settings, detector, policy)
-        return np.tensordot(np.array([spec.n_sim, spec.n_dif]), components, 1)
+        return _mix((spec.n_sim, spec.n_dif), _existing_components(settings, detector, policy))
     if isinstance(spec, ImprovedModelSpec):
         _check_trigger(spec.trigger_intensity, settings)
         components = _improved_components(settings, detector, policy, spec.trigger_intensity)
-        return np.tensordot(np.array([1.0 - spec.p2, spec.p2]), components, 1)
+        return _mix((1.0 - spec.p2, spec.p2), components)
     if isinstance(spec, PerfectModelSpec) and spec.mode is PerfectMode.PHYSICAL_PULSES:
-        weights = np.array(control_row_probabilities(spec.a, spec.b))
+        weights = control_row_probabilities(spec.a, spec.b)
         for side, k, reason in control_geometry(settings).infeasible:
             if (side == 0 or spec.role_reversal) and weights[k] > 0.0:
                 raise InfeasibleGeometry(reason)
         components = _perfect_components(settings, detector, policy, spec.role_reversal)
-        return np.tensordot(weights, components, 1)
+        return _mix(weights, components)
     if isinstance(spec, PerfectModelSpec):
         return _perfect_analytic_table(spec.a, spec.b, spec.role_reversal)
     if isinstance(spec, QuantumSpec):

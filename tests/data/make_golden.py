@@ -83,6 +83,16 @@ CASES = {
         ["sweep", "--var", "eta", "--from", "0.7", "--to", "1.0", "--steps", "12",
          "--trials", "4096", "--seed", "3"],
     ),
+    "sweep_eta_physical": (
+        _config("kind = perfect\na = 0.9\nb = 0.4\nmode = physical\nrole_reversal = false"),
+        ["sweep", "--var", "eta", "--from", "0.7", "--to", "1.0", "--steps", "12",
+         "--trials", "4096", "--seed", "5"],
+    ),
+    "sweep_p2": (
+        _config("kind = improved\np2 = 0.3\ntrigger_intensity = 1.5"),
+        ["sweep", "--var", "p2", "--from", "0.0", "--to", "0.5", "--steps", "11",
+         "--trials", "4096", "--seed", "9"],
+    ),
 }
 
 

@@ -333,6 +333,25 @@ seed = 5
                    "--steps", "5", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("bounds", [
+        ("0", "1", "10000000000000"),
+        ("0", "1", "1000001"),
+        ("0", "inf", "5"),
+        ("-inf", "1", "5"),
+        ("nan", "1", "5"),
+    ])
+    def test_unusable_grid_is_a_one_line_error(self, tmp_path, capsys, bounds):
+        config = write_config(tmp_path, "[strategy]\nkind = existing\ne_target = 0.5\n"
+                                        "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n")
+        start, stop, steps = bounds
+        rc = main(["sweep", str(config), "--var", "etarget", f"--from={start}", f"--to={stop}",
+                   "--steps", steps, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_var_and_strategy_must_match(self, perfect_config, tmp_path, capsys):
         rc = main(["sweep", str(perfect_config), "--var", "p2", "--from", "0", "--to", "1",
                    "--steps", "3", "--out", str(tmp_path / "x.csv")])

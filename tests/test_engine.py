@@ -212,6 +212,16 @@ class TestWorkerPool:
         monkeypatch.undo()
         assert summaries_identical(summary, run(config))
 
+    @pytest.mark.parametrize("n_trials,workers", [(2 * BATCH_SIZE + 1, 1), (BATCH_SIZE, 8), (4096, 2)])
+    def test_serial_runs_never_reach_the_pool(self, monkeypatch, n_trials, workers):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run that can start one thread only looked for more")
+
+        monkeypatch.setattr(bellsim.engine, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(bellsim.engine.os, "cpu_count", forbidden)
+        summary = run(perfect_config(SETTINGS, n_trials=n_trials, seed=27), workers=workers)
+        assert summary.n_trials == n_trials
+
 
 class TestErrors:
     def test_all_zero_coincidences_identifies_setting(self, standard_settings):
@@ -328,6 +338,24 @@ class TestMerge:
         ))
         with pytest.raises(ValidationError):
             merge([base, flagged])
+
+    def test_specs_with_one_label_rejected(self, standard_settings):
+        # Both specs print as existing(e_target=0.707106781187).
+        close = [ExistingModelSpec(0.7071067811865476), ExistingModelSpec(0.7071067811869)]
+        assert close[0].label == close[1].label
+        runs = [run(RunConfig(strategy=spec, settings=standard_settings, n_trials=4096, seed=28))
+                for spec in close]
+        with pytest.raises(ValidationError, match="different strategies"):
+            merge(runs)
+
+    def test_separately_built_quantum_specs_merge(self, standard_settings):
+        runs = [
+            run(RunConfig(strategy=QuantumSpec(bell_phi_plus().rotated(10.0, -5.0), eta_true=0.9),
+                          settings=standard_settings, n_trials=4096, seed=seed))
+            for seed in (29, 30)
+        ]
+        assert runs[0].spec is not runs[1].spec
+        assert merge(runs).n_trials == 8192
 
     def test_mixed_detectors_rejected(self, standard_settings):
         config = perfect_config(standard_settings, n_trials=20_000, seed=19)

@@ -29,10 +29,10 @@ from bellsim.strategies import (
     control_row_probabilities,
     feasible_intensity_window,
     joint_table,
-    perfect_joint_distribution,
     quantum_joint_probabilities,
     source_polarization_cells,
 )
+from oracles import perfect_joint_distribution
 
 SQRT2 = math.sqrt(2.0)
 A_THRESHOLD = 12.0 * SQRT2 - 16.0

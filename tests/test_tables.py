@@ -9,10 +9,11 @@ never change a table: compiling in any order gives what a cold compile
 gives.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings as hyp_settings, strategies as st
 
 from bellsim import (
     ExistingModelSpec,
@@ -36,10 +37,10 @@ from bellsim.optics import OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
 from bellsim.strategies import (
     InfeasibleGeometry,
     joint_table,
-    perfect_joint_distribution,
     quantum_correlation,
     quantum_joint_probabilities,
 )
+from oracles import perfect_joint_distribution
 
 STANDARD = MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5)
 CODE = {Outcome.PLUS: OUT_PLUS, Outcome.MINUS: OUT_MINUS, Outcome.INCONCLUSIVE: OUT_INCONCLUSIVE}
@@ -209,6 +210,51 @@ def test_every_table_is_a_no_signalling_distribution(data, detector, policy):
 # Cached components
 # ---------------------------------------------------------------------------
 
+
+def analytic_reference(a, b, role_reversal):
+    """The perfect/analytic table as one direct einsum per phase.
+
+    Each label is drawn with probability 1/2. The controlled party (Alice,
+    then Bob in the reversed phase) reports + with probability a or ? on
+    the basis that matches the label, and +/- (b/2 each) or ? on the other.
+    The other party is certain: - at (label 0, basis 1), or at (label 1,
+    basis 0) when reversed, + elsewhere.
+    """
+    match, mismatch = np.zeros(8), np.zeros(8)
+    match[[OUT_PLUS, OUT_INCONCLUSIVE]] = a, 1.0 - a
+    mismatch[[OUT_PLUS, OUT_MINUS, OUT_INCONCLUSIVE]] = b / 2.0, b / 2.0, 1.0 - b
+    controlled = np.array([[match, mismatch], [mismatch, match]])  # (label, basis, state)
+    phases = []
+    for reversed_ in (False, True)[: 1 + role_reversal]:
+        certain = np.zeros((2, 2, 8))
+        for label in (0, 1):
+            for basis in (0, 1):
+                minus = (label, basis) == ((1, 0) if reversed_ else (0, 1))
+                certain[label, basis, OUT_MINUS if minus else OUT_PLUS] = 1.0
+        alice, bob = (certain, controlled) if reversed_ else (controlled, certain)
+        phases.append(np.einsum("e,eak,ebl->abkl", [0.5, 0.5], alice, bob).reshape(4, 8, 8))
+    return np.array(phases)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(a=unit, b=unit, role_reversal=st.booleans())
+@example(a=0.6, b=0.6, role_reversal=True)
+@example(a=0.6, b=0.0, role_reversal=True)
+@example(a=1.0, b=0.4, role_reversal=False)
+@example(a=1.0, b=1.0, role_reversal=True)
+@example(a=0.0, b=0.0, role_reversal=False)
+@example(a=5e-324, b=1e-310, role_reversal=True)
+def test_analytic_mixture_is_the_direct_table_bit_for_bit(a, b, role_reversal):
+    table = compiled(PerfectModelSpec(a, b, role_reversal=role_reversal))
+    want = analytic_reference(a, b, role_reversal)
+    if 0.0 < min(a, b) < 4.0 * sys.float_info.min:
+        # a/2 or b/4 is subnormal, so halving it rounds; the mixture's fused
+        # multiply-add rounds once where the einsum rounds twice.
+        np.testing.assert_allclose(table, want, rtol=0, atol=2 * 2.0**-1074)
+    else:
+        assert table.tobytes() == want.tobytes()
+
+
 CACHED_BUILDERS = [f for f in vars(strategies).values() if hasattr(f, "cache_clear")]
 
 
@@ -232,6 +278,8 @@ def cached_arrays(spec, settings, detector, policy):
             strategies._perfect_components(settings, detector, policy, spec.role_reversal),
             geometry.pol, geometry.intensity,
         ]
+    if isinstance(spec, PerfectModelSpec):
+        return [strategies._analytic_components(spec.role_reversal)]
     return []
 
 
@@ -239,6 +287,7 @@ def test_cached_arrays_cover_every_cached_builder():
     names = {builder.__name__ for builder in CACHED_BUILDERS}
     assert names == {
         "_existing_components", "_improved_components", "control_geometry", "_perfect_components",
+        "_analytic_components",
     }
 
 
