@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .core import (
     ValidationError,
 )
 from .detector import DetectorModel, StepThreshold, TwoThreshold, read_response_csv
-from .engine import RunConfig, run
+from .engine import _SEED_LIMIT, RunConfig, run
 from .inequalities import gm_bound
 from .strategies import (
     CONTROL_ROWS,
@@ -339,6 +340,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policy = _parse_policy(cp)
     trials = args.trials if args.trials is not None else _get(cp, "engine", "trials", int, 100_000)
     base_seed = args.seed if args.seed is not None else _get(cp, "engine", "seed", int, 0)
+    if args.mc and not 0 <= base_seed <= _SEED_LIMIT - args.steps:
+        raise ConfigError(f"--seed {base_seed}, --steps {args.steps}: seeds seed + i must lie in [0, 2**64)")
     sweep_point = _sweep_points(args.var, cp, settings)
 
     rows = []
@@ -411,6 +414,7 @@ def cmd_check_feasibility(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellsim",

@@ -194,6 +194,14 @@ class Counts:
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
+    @classmethod
+    def _fresh(cls, cells: np.ndarray) -> "Counts":
+        """Counts of an int64 (4, 8, 8) array the engine has just summed; marked read-only, not re-checked."""
+        cells.setflags(write=False)
+        counts = object.__new__(cls)
+        object.__setattr__(counts, "cells", cells)
+        return counts
+
     @property
     def joint(self) -> np.ndarray:
         """Counts per setting pair over outcome codes (Alice, Bob): (4, 4, 4)."""

@@ -13,6 +13,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from itertools import count, repeat
+from operator import iadd
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +27,6 @@ from .core import (
     RunSummary,
     SettingPair,
     ValidationError,
-    fold_doubles,
 )
 from .detector import DetectorModel, StepThreshold
 from .inequalities import AllZeroCoincidences, marginal_gaps
@@ -50,6 +52,9 @@ BATCH_SIZE = 1 << 16
 _SEED_LIMIT = 1 << 64
 
 _PAIRS = tuple(SettingPair)
+
+#: Folds a setting pair's 64 cells over party states to its 16 cells ``4 * a + b`` over outcome codes.
+_FOLD = np.eye(16, dtype=np.int64)[[4 * (i % 4) + j % 4 for i in range(N_STATES) for j in range(N_STATES)]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +85,10 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 def _cell_probabilities(table: np.ndarray) -> np.ndarray:
     """Per phase, the probabilities of the 256 (setting, Alice, Bob) cells.
 
-    Each setting pair is drawn with probability 1/4. Renormalized because
-    ``multinomial`` rejects probabilities that sum to just above 1.
+    Renormalized because ``multinomial`` rejects probabilities that sum to just above 1;
+    this also applies each setting pair's probability 1/4, a power of two, exactly.
     """
-    cells = 0.25 * table.reshape(len(table), -1)
+    cells = table.reshape(len(table), -1)
     return cells / cells.sum(axis=1, keepdims=True)
 
 
@@ -102,10 +107,10 @@ def _run_batch(
     """
     rng = _batch_rng(seed, batch_index)
     phases = len(probabilities)
-    counts = sum(
+    counts = reduce(iadd, (  # in place, into the first phase's fresh array
         rng.multinomial(len(range(start + (p - start) % phases, start + size, phases)), probabilities[p])
         for p in range(phases)
-    )
+    ))
     return counts.reshape(4, N_STATES, N_STATES)
 
 
@@ -133,17 +138,15 @@ def chsh_statistics(cells) -> ChshStatistics:
     :class:`AllZeroCoincidences` naming the first setting pair with no
     coincidences.
     """
-    joint = fold_doubles(cells)
-    return _statistics(joint, joint.sum().item())
+    rows = (np.asarray(cells).reshape(4, -1) @ _FOLD).tolist()
+    return _statistics(rows, sum(map(sum, rows)))
 
 
-def _statistics(joint: np.ndarray, n) -> ChshStatistics:
-    """:func:`chsh_statistics` of folded cells ``joint`` (4, 4, 4) that sum to ``n``.
-
-    Plain Python per setting pair, in the order the array code used, so no bit moves.
-    """
+def _statistics(rows: list[list], n) -> ChshStatistics:
+    """:func:`chsh_statistics` of folded ``rows[k][4 * a + b]`` summing to ``n``; codes +-?D are pmqd."""
     correlations, coincidences = [], []
-    for pair, (pp, pm, mp, mm) in zip(_PAIRS, joint[:, :2, :2].reshape(4, 4).tolist()):
+    alice = bob = 0
+    for pair, (pp, pm, pq, pd, mp, mm, mq, md, qp, qm, _, _, dp, dm, _, _) in zip(_PAIRS, rows):
         c = pp + pm + mp + mm
         if c == 0:
             raise AllZeroCoincidences(
@@ -151,6 +154,8 @@ def _statistics(joint: np.ndarray, n) -> ChshStatistics:
             )
         correlations.append((pp + mm - pm - mp) / c)
         coincidences.append(c)
+        alice += c + pq + pd + mq + md
+        bob += c + qp + qm + dp + dm
     e00, e01, e10, e11 = correlations
     p_coinc = sum(coincidences) / n
     eta_symmetric = math.sqrt(p_coinc)
@@ -162,8 +167,8 @@ def _statistics(joint: np.ndarray, n) -> ChshStatistics:
     return ChshStatistics(
         correlations=dict(zip(_PAIRS, correlations)),
         s_value=e00 + e10 + e11 - e01,
-        eta_alice=joint[:, :2, :].sum().item() / n,
-        eta_bob=joint[:, :, :2].sum().item() / n,
+        eta_alice=alice / n,
+        eta_bob=bob / n,
         eta_symmetric=eta_symmetric,
         # Left to right in SettingPair order: a pairwise sum could move the last bit.
         se_s=math.sqrt(sum((1.0 - e * e) / c for e, c in zip(correlations, coincidences))),
@@ -179,17 +184,18 @@ def _summarize(
     seed: int | None,
     spec: StrategySpec,
 ) -> RunSummary:
-    joint = fold_doubles(counts.cells)
-    n_trials = joint.sum().item()
+    folded = counts.cells.reshape(4, -1) @ _FOLD
+    rows = folded.tolist()
+    n_trials = sum(map(sum, rows))
     return RunSummary(
         counts=counts,
-        **_statistics(joint, n_trials)._asdict(),
+        **_statistics(rows, n_trials)._asdict(),
         n_trials=n_trials,
         seed=seed,
         spec=spec,
         settings=settings,
         double_click_policy=policy,
-        joint_counts=dict(zip(_PAIRS, joint)),
+        joint_counts=dict(zip(_PAIRS, folded.reshape(4, 4, 4))),
         detector_model=detector,
     )
 
@@ -207,21 +213,18 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
         config.strategy, config.settings, config.detector_model, config.double_click_policy
     ))
     starts = range(0, config.n_trials, BATCH_SIZE)
-
-    def job(batch: tuple[int, int]) -> np.ndarray:
-        index, start = batch
-        return _run_batch(probabilities, config.seed, index, start, min(BATCH_SIZE, config.n_trials - start))
-
+    sizes = (min(BATCH_SIZE, config.n_trials - start) for start in starts)
+    batches = (repeat(probabilities), repeat(config.seed), count(), starts, sizes)
     threads = min(workers, len(starts))
     if threads > 1:
         threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
-        cells = sum(map(job, enumerate(starts)))
+        cells = reduce(iadd, map(_run_batch, *batches))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = sum(pool.map(job, enumerate(starts)))
+            cells = reduce(iadd, pool.map(lambda batch: _run_batch(*batch), zip(*batches)))
     return _summarize(
-        Counts(cells), config.settings,
+        Counts._fresh(cells), config.settings,
         config.double_click_policy, config.detector_model, config.seed, config.strategy,
     )
 

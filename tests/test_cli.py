@@ -352,6 +352,50 @@ seed = 5
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("seed,steps", [
+        (str(2**64 - 1), "3"),
+        (str(2**64 - 2), "3"),
+        ("-1", "3"),
+        (None, "2"),  # [engine] seed = 2**64 - 1
+    ])
+    def test_sweep_seeds_must_stay_in_64_bits(self, tmp_path, capsys, seed, steps):
+        config = write_config(tmp_path, "[strategy]\nkind = existing\ne_target = 0.5\n"
+                                        "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n"
+                                        f"[engine]\ntrials = 1000\nseed = {2**64 - 1}\n")
+        argv = ["sweep", str(config), "--var", "etarget", "--from", "0.2", "--to", "0.9",
+                "--steps", steps, "--out", str(tmp_path / "x.csv")]
+        rc = main(argv + ([] if seed is None else [f"--seed={seed}"]))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "--seed" in err and "--steps" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_last_seed_of_a_sweep_may_be_the_largest(self, tmp_path, capsys):
+        config = write_config(tmp_path, "[strategy]\nkind = existing\ne_target = 0.5\n"
+                                        "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", str(config), "--var", "etarget", "--from", "0.2", "--to", "0.9",
+                     "--steps", "3", "--trials", "1000", "--seed", str(2**64 - 3), "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 4
+
+    def test_cached_parser_holds_no_state(self, tmp_path, capsys):
+        config = write_config(tmp_path, "[strategy]\nkind = existing\ne_target = 0.5\n"
+                                        "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n"
+                                        "[engine]\ntrials = 2000\nseed = 5\n")
+        out = tmp_path / "x.csv"
+        grid = ["--from", "0.2", "--to", "0.9", "--steps", "3", "--out", str(out)]
+        sweep = ["sweep", str(config), "--var", "etarget", *grid]
+        assert main(sweep) == 0
+        first = out.read_bytes(), capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(config), *grid])  # no --var
+        assert exc.value.code == 2
+        assert main([*sweep, "--seed", "9", "--trials", "500", "--workers", "2", "--no-mc"]) == 0
+        capsys.readouterr()
+        assert main(sweep) == 0
+        assert (out.read_bytes(), capsys.readouterr().out) == first
+
     def test_var_and_strategy_must_match(self, perfect_config, tmp_path, capsys):
         rc = main(["sweep", str(perfect_config), "--var", "p2", "--from", "0", "--to", "1",
                    "--steps", "3", "--out", str(tmp_path / "x.csv")])

@@ -20,7 +20,7 @@ from bellsim import (
     merge,
     run,
 )
-from bellsim.core import DoubleClickPolicy, ValidationError
+from bellsim.core import Counts, DoubleClickPolicy, ValidationError, fold_doubles
 from bellsim.detector import StepThreshold, bundled_response_curve
 import bellsim.engine
 from bellsim.engine import BATCH_SIZE, _batch_rng, chsh_statistics, no_signalling_from_tables
@@ -185,6 +185,37 @@ class TestChshStatistics:
         cells[2:, :, [0, 1, 4, 5]] = 0  # Bob never conclusive at a1b0 and a1b1
         with pytest.raises(AllZeroCoincidences, match="setting a1b0 recorded no coincidences"):
             chsh_statistics(cells)
+
+
+class TestFold:
+    @hyp_settings(deadline=None)
+    @given(arrays(np.int64, (4, 8, 8), elements=st.integers(0, 10**9)))
+    def test_summary_matches_the_array_fold_bit_for_bit(self, cells):
+        folded = cells.reshape(4, 64) @ bellsim.engine._FOLD
+        assert folded.dtype == np.int64
+        assert np.array_equal(folded.reshape(4, 4, 4), fold_doubles(cells))
+        assume(folded[:, [0, 1, 4, 5]].sum(axis=1).all())  # every pair has coincidences
+        counts = Counts(cells)
+        summary = bellsim.engine._summarize(
+            counts, SETTINGS, DoubleClickPolicy.DISCARD, StepThreshold(), 3, ExistingModelSpec(0.5)
+        )
+        stats = chsh_statistics(cells)
+        assert summary.correlations == stats.correlations
+        assert (summary.s_value, summary.se_s) == (stats.s_value, stats.se_s)
+        assert (summary.eta_alice, summary.eta_bob) == (stats.eta_alice, stats.eta_bob)
+        assert (summary.eta_symmetric, summary.se_eta_symmetric) == (
+            stats.eta_symmetric, stats.se_eta_symmetric)
+        assert summary.n_trials == int(cells.sum())
+        for pair, joint in zip(SettingPair, counts.joint):
+            assert summary.joint_counts[pair].dtype == joint.dtype
+            assert np.array_equal(summary.joint_counts[pair], joint)
+
+    @pytest.mark.parametrize("n_trials,workers", [(4096, 1), (BATCH_SIZE + 5, 1), (BATCH_SIZE + 5, 2)])
+    def test_run_counts_are_read_only_int64(self, n_trials, workers):
+        cells = run(perfect_config(SETTINGS, n_trials=n_trials, seed=28), workers=workers).counts.cells
+        assert (cells.dtype, cells.shape) == (np.int64, (4, 8, 8))
+        assert not cells.flags.writeable
+        assert cells.sum() == n_trials
 
 
 class TestWorkerPool:

@@ -59,3 +59,18 @@ def test_benchmark_entry_points_run(command):
         [sys.executable, *command], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_sweep_calls_the_engine_once_per_point(tmp_path):
+    # The sweep workload rebinds ``engine.run`` to capture each point's run and
+    # checks the CSV against it: 11 grid points at 1 and 2 workers.
+    script = (
+        "import sys; from pathlib import Path; sys.path[:0] = ['bench', 'src']; import workloads; "
+        f"w = workloads.build('sweep', 1, Path({str(tmp_path)!r}), tiny=True); w.prepare(); "
+        "p = w.run_pass(); print(p.attempted, p.failed, p.problems)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=2)[:2] == ["22", "0"], proc.stdout
