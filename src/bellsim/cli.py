@@ -307,8 +307,11 @@ def _sweep_points(
 ) -> Callable[[float], tuple[StrategySpec, Any]]:
     """The function from a grid value to its spec and closed-form prediction."""
     if var == "p2":
-        trigger = _get(cp, "strategy", "trigger_intensity", float, None)
-        return lambda x: (ImprovedModelSpec.for_settings(x, settings, trigger), analytic.improved_predict(x))
+        # Resolve and check the trigger once; the points differ only in p2.
+        trigger = ImprovedModelSpec.for_settings(
+            0.0, settings, _get(cp, "strategy", "trigger_intensity", float, None)
+        ).trigger_intensity
+        return lambda x: (ImprovedModelSpec(p2=x, trigger_intensity=trigger), analytic.improved_predict(x))
     if var == "etarget":
         return lambda x: (ExistingModelSpec(e_target=x), analytic.existing_predict(x))
     mode = _parse_perfect_mode(cp)
@@ -414,6 +417,9 @@ def cmd_check_feasibility(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_WORKERS_HELP = "Validated (a positive integer) but has no effect: batches run in index order in one thread"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -426,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="Path to the INI config file")
     p_run.add_argument("--seed", type=int, default=None, help="Override [engine] seed")
     p_run.add_argument("--trials", type=int, default=None, help="Override [engine] trials")
-    p_run.add_argument("--workers", type=int, default=1, help="Worker threads (result-invariant)")
+    p_run.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_run.add_argument("--out", default=None, help="Write the summary CSV here")
     p_run.set_defaults(func=cmd_run)
 
@@ -443,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Also run Monte Carlo at each grid point")
     p_sweep.add_argument("--seed", type=int, default=None, help="Override [engine] seed")
     p_sweep.add_argument("--trials", type=int, default=None, help="Override [engine] trials")
-    p_sweep.add_argument("--workers", type=int, default=1, help="Worker threads (result-invariant)")
+    p_sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_check = sub.add_parser(

@@ -3,18 +3,16 @@
 A run compiles its strategy spec to the exact outcome table once, then cuts
 the trial index space into fixed-size batches. Each batch draws its
 counts from that table, one multinomial per trial-parity phase, from its
-own Philox stream keyed by (seed, batch index), so a run's counts are a
-pure function of the configuration and seed: thread count and scheduling
-order cannot change a single bit of the result.
+own Philox stream keyed by (seed, batch index). The batches run in index
+order in the calling thread, so a run's counts are a pure function of the
+configuration and seed. :func:`run` validates its ``workers`` argument
+but starts no thread, so the count has no effect.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count, repeat
 from operator import iadd
 from typing import Mapping, NamedTuple, Sequence
 
@@ -46,6 +44,7 @@ __all__ = [
 ]
 
 #: Trials per batch; fixed so the batch partition depends only on n_trials.
+#: A multiple of the phase count (1 or 2), so every batch starts at phase 0.
 BATCH_SIZE = 1 << 16
 
 #: Seeds are the 64-bit entropy of each batch's stream: [0, 2**64).
@@ -92,13 +91,7 @@ def _cell_probabilities(table: np.ndarray) -> np.ndarray:
     return cells / cells.sum(axis=1, keepdims=True)
 
 
-def _run_batch(
-    probabilities: np.ndarray,
-    seed: int,
-    batch_index: int,
-    start: int,
-    size: int,
-) -> np.ndarray:
+def _run_batch(probabilities: np.ndarray, seed: int, batch_index: int, size: int) -> np.ndarray:
     """One batch of trials; returns its (4, 8, 8) counts, laid out as :attr:`Counts.cells`.
 
     Phase ``p`` of ``probabilities`` covers the trials whose index is ``p``
@@ -108,8 +101,7 @@ def _run_batch(
     rng = _batch_rng(seed, batch_index)
     phases = len(probabilities)
     counts = reduce(iadd, (  # in place, into the first phase's fresh array
-        rng.multinomial(len(range(start + (p - start) % phases, start + size, phases)), probabilities[p])
-        for p in range(phases)
+        rng.multinomial(len(range(p, size, phases)), probabilities[p]) for p in range(phases)
     ))
     return counts.reshape(4, N_STATES, N_STATES)
 
@@ -203,26 +195,20 @@ def _summarize(
 def run(config: RunConfig, workers: int = 1) -> RunSummary:
     """Simulate ``config.n_trials`` trials and summarize the counts.
 
-    ``workers`` only parallelizes batch execution, on at most one thread
-    per batch and per CPU; it never changes the result. Identical (config,
-    seed) gives a bit-identical summary.
+    The batches run in index order in the calling thread. ``workers`` is
+    validated, a positive int, but has no effect. Identical (config, seed)
+    gives a bit-identical summary.
     """
-    if not isinstance(workers, int) or workers < 1:
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     probabilities = _cell_probabilities(joint_table(
         config.strategy, config.settings, config.detector_model, config.double_click_policy
     ))
-    starts = range(0, config.n_trials, BATCH_SIZE)
-    sizes = (min(BATCH_SIZE, config.n_trials - start) for start in starts)
-    batches = (repeat(probabilities), repeat(config.seed), count(), starts, sizes)
-    threads = min(workers, len(starts))
-    if threads > 1:
-        threads = min(threads, os.cpu_count() or 1)
-    if threads == 1:
-        cells = reduce(iadd, map(_run_batch, *batches))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = reduce(iadd, pool.map(lambda batch: _run_batch(*batch), zip(*batches)))
+    n = config.n_trials
+    cells = reduce(iadd, (
+        _run_batch(probabilities, config.seed, i, min(BATCH_SIZE, n - start))
+        for i, start in enumerate(range(0, n, BATCH_SIZE))
+    ))
     return _summarize(
         Counts._fresh(cells), config.settings,
         config.double_click_policy, config.detector_model, config.seed, config.strategy,

@@ -9,6 +9,7 @@ from bellsim.cli import SUMMARY_COLUMNS, main
 from bellsim.core import DoubleClickPolicy
 from bellsim.detector import StepThreshold
 from bellsim.optics import pulse_response
+from bellsim import strategies
 from bellsim.strategies import InfeasibleGeometry, joint_table
 
 SQRT2 = math.sqrt(2.0)
@@ -30,6 +31,18 @@ beta1 = 67.5
 [engine]
 trials = 100000
 seed = 42
+"""
+
+
+IMPROVED_CONFIG = """\
+[settings]
+alpha0 = 0
+alpha1 = 45
+beta0 = 22.5
+beta1 = 67.5
+
+[strategy]
+kind = improved
 """
 
 
@@ -279,6 +292,35 @@ beta1 = 67.5
         assert first[4] == "" and last[5] == ""
         xs = [float(r[0]) for r in rows[1:]]
         assert xs == sorted(xs)
+
+    @pytest.mark.parametrize("trigger", [None, 1.5])
+    def test_p2_sweep_resolves_the_trigger_once(self, tmp_path, capsys, monkeypatch, trigger):
+        text = IMPROVED_CONFIG + ("" if trigger is None else f"trigger_intensity = {trigger}\n")
+        config = write_config(tmp_path, text)
+        window = strategies._trigger_window
+        calls = []
+
+        def counted(settings):
+            calls.append(settings)
+            return window(settings)
+
+        monkeypatch.setattr(strategies, "_trigger_window", counted)
+        steps = 7
+        rc = main(["sweep", str(config), "--var", "p2", "--from", "0", "--to", "1",
+                   "--steps", str(steps), "--trials", "500", "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert len(calls) <= steps + 2
+
+    @pytest.mark.parametrize("mc", ["--mc", "--no-mc"])
+    def test_p2_sweep_trigger_outside_window_is_a_one_line_error(self, tmp_path, capsys, mc):
+        config = write_config(tmp_path, IMPROVED_CONFIG + "trigger_intensity = 2.0\n")
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", str(config), "--var", "p2", "--from", "0", "--to", "1",
+                   "--steps", "3", "--trials", "500", "--out", str(out), mc])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: trigger intensity must lie in [") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_eta_sweep_follows_recalibrated_bound(self, tmp_path, capsys):
         a = 12.0 * SQRT2 - 16.0

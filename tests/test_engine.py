@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(strategy=ExistingModelSpec(0.5), settings=standard_settings,
                       n_trials=10, seed=1.5)
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.0, True, False, None])
+    def test_run_requires_positive_int_workers(self, standard_settings, workers):
+        config = RunConfig(strategy=ExistingModelSpec(0.5), settings=standard_settings,
+                           n_trials=10, seed=1)
+        with pytest.raises(ValidationError, match="workers"):
+            run(config, workers=workers)
 
 
 SEED_LIMIT = 2**64
@@ -218,40 +226,15 @@ class TestFold:
         assert cells.sum() == n_trials
 
 
-class TestWorkerPool:
-    def test_pool_is_bounded_by_the_batches(self, monkeypatch):
-        sizes = []
+class TestSingleThread:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_run_starts_no_thread(self, monkeypatch, workers):
+        def forbidden(self):
+            raise AssertionError("engine.run started a thread")
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(bellsim.engine, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(bellsim.engine.os, "cpu_count", lambda: 64)
-        config = perfect_config(SETTINGS, n_trials=2 * BATCH_SIZE + 1, seed=26)
-        summary = run(config, workers=10**6)
-        assert sizes == [3]
-        monkeypatch.undo()
-        assert summaries_identical(summary, run(config))
-
-    @pytest.mark.parametrize("n_trials,workers", [(2 * BATCH_SIZE + 1, 1), (BATCH_SIZE, 8), (4096, 2)])
-    def test_serial_runs_never_reach_the_pool(self, monkeypatch, n_trials, workers):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a run that can start one thread only looked for more")
-
-        monkeypatch.setattr(bellsim.engine, "ThreadPoolExecutor", forbidden)
-        monkeypatch.setattr(bellsim.engine.os, "cpu_count", forbidden)
-        summary = run(perfect_config(SETTINGS, n_trials=n_trials, seed=27), workers=workers)
-        assert summary.n_trials == n_trials
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
+        summary = run(perfect_config(SETTINGS, n_trials=2 * BATCH_SIZE + 1, seed=27), workers=workers)
+        assert summary.n_trials == 2 * BATCH_SIZE + 1
 
 
 class TestErrors:
