@@ -192,6 +192,11 @@ def _summarize(
     )
 
 
+def _check_workers(workers) -> None:
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+
+
 def run(config: RunConfig, workers: int = 1) -> RunSummary:
     """Simulate ``config.n_trials`` trials and summarize the counts.
 
@@ -199,8 +204,7 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
     validated, a positive int, but has no effect. Identical (config, seed)
     gives a bit-identical summary.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    _check_workers(workers)
     probabilities = _cell_probabilities(joint_table(
         config.strategy, config.settings, config.detector_model, config.double_click_policy
     ))

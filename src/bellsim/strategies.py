@@ -7,15 +7,15 @@ setting pair (index ``2 * alice + bob``), the joint probabilities of the
 two parties' states in the encoding of :mod:`bellsim.optics`. The engine
 draws its counts from that table.
 
-The local strategies state their locality structure once, in
-:func:`_local_table`: the emission weights cannot see the settings, and
-each party's response depends only on the emission and its own basis.
-
-The local strategies split each table into weight-free components,
-which hold all the pulse physics, and a weight per component taken from
-the spec. The components are cached per (settings, detector, policy, ...)
-and read-only; a table is their weighted sum, :func:`_mix`, so a sweep
-over the weights evaluates the physics once.
+The four local models (existing, improved, and perfect in either mode)
+are each one function to their hidden-variable decomposition: a
+weight-free group matrix ``(K, E)`` over emissions, and per phase each
+party's state distribution from the emission and its own basis alone,
+``(phases, E, 2, 8)``. :func:`_local_table` states the locality once: the
+emission weights cannot see the settings. One cache, :func:`_components`,
+turns a decomposition into the read-only table of each group alone, and
+a spec supplies the K group weights, so a table is :func:`_mix` of the
+two and a sweep over the weights evaluates the pulse physics once.
 """
 from __future__ import annotations
 
@@ -240,13 +240,8 @@ def _local_table(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarra
     )
 
 
-#: Geometries (settings, detector, policy, pulse parameters) kept per cached builder.
+#: Entries kept per cache: decompositions (a builder and its key), or settings.
 _CACHE_SIZE = 64
-
-
-def _mix(weights, components: np.ndarray) -> np.ndarray:
-    """The fresh table ``sum_k weights[k] * components[k]``."""
-    return (np.array(weights) @ components.reshape(len(weights), -1)).reshape(components.shape[1:])
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -255,11 +250,24 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _components(build, *key) -> np.ndarray:
+    """The table of each group of ``build(*key)`` alone, (K, phases, 4, 8, 8).
+
+    ``build`` returns a local model's decomposition ``(groups (K, E), alice
+    (phases, E, 2, 8), bob (phases, E, 2, 8))``.
+    """
+    groups, alice, bob = build(*key)
+    return _frozen(np.stack([_local_table(groups, a, b) for a, b in zip(alice, bob)], axis=1))
+
+
+def _mix(weights, components: np.ndarray) -> np.ndarray:
+    """The fresh table ``sum_k weights[k] * components[k]``."""
+    return (np.array(weights) @ components.reshape(len(weights), -1)).reshape(components.shape[1:])
+
+
 #: Swaps "+" and "-" and keeps whether both detectors fired.
 _SWAP_SIGNS = np.array([1, 0, 2, 3, 5, 4, 6, 7])
-
-#: Two emissions drawn with equal probability.
-_HALVES = _frozen(np.array([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +294,18 @@ def source_polarization_cells(settings: MeasurementSettings) -> list[tuple[Angle
     ]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _existing_components(
-    settings: MeasurementSettings, detector: DetectorModel, policy: DoubleClickPolicy
-) -> np.ndarray:
-    """The similar and the different cells' tables, (2, 1 phase, 4, 8, 8).
+def _existing_model(settings: MeasurementSettings, detector: DetectorModel, policy: DoubleClickPolicy):
+    """The similar (group 0) and the different (group 1) cells, one phase.
 
     Every cell is a threshold-intensity pulse pair in its polarizations
-    and enters its role's table at weight 1/4, so ``(n_sim, n_dif)``
-    weighs the two tables into the source's.
+    and enters its role's group at weight 1/4, so ``(n_sim, n_dif)``
+    weighs the two groups into the source's table.
     """
     cells = source_polarization_cells(settings)
     alice = _response([pa.degrees for pa, _, _ in cells], 1.0, settings, 0, detector, policy)
     bob = _response([pb.degrees for _, pb, _ in cells], 1.0, settings, 1, detector, policy)
     similar = np.array([sim for _, _, sim in cells])
-    return _frozen(_local_table(0.25 * np.array([similar, ~similar]), alice, bob)[:, None])
+    return 0.25 * np.array([similar, ~similar]), alice[None], bob[None]
 
 
 # ---------------------------------------------------------------------------
@@ -308,31 +313,22 @@ def _existing_components(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _improved_components(
-    settings: MeasurementSettings,
-    detector: DetectorModel,
-    policy: DoubleClickPolicy,
-    trigger_intensity: float,
-) -> np.ndarray:
-    """The forced and the midpoint tables, (2, 1 phase, 4, 8, 8).
+def _improved_model(
+    settings: MeasurementSettings, detector: DetectorModel, policy: DoubleClickPolicy, trigger: float
+):
+    """The forced (group 0) and the midpoint (group 1) emissions, one phase.
 
-    Forcing is the existing model at ``e_target = 1``: its similar cells
-    at ``n_sim = 1/2``. The midpoint pulse
-    enters twice at weight 1/2, the second time with both parties' signs
-    swapped: the joint flip balances ++ against -- while leaving every
-    correlation at +1.
+    Forcing is the existing model at ``e_target = 1``: its 16 cells, the
+    similar ones at ``n_sim / 4 = 1/8``. The midpoint pulse enters twice
+    at weight 1/2, the second time with both parties' signs swapped: the
+    joint flip balances ++ against -- while leaving every correlation at +1.
     """
-    forced = 0.5 * _existing_components(settings, detector, policy)[0]
-    mid_a, mid_b = (
-        _response(angle0.midpoint_toward(angle1).degrees, trigger_intensity, settings, side,
-                  detector, policy)
-        for side, (angle0, angle1) in enumerate(_bases(settings))
-    )
-    midpoints = _local_table(
-        _HALVES, np.array([mid_a, mid_a[:, _SWAP_SIGNS]]), np.array([mid_b, mid_b[:, _SWAP_SIGNS]])
-    )
-    return _frozen(np.array([forced, midpoints[None]]))
+    (similar, _), *cells = _existing_model(settings, detector, policy)
+    parties = []
+    for side, (angle0, angle1) in enumerate(_bases(settings)):
+        mid = _response(angle0.midpoint_toward(angle1).degrees, trigger, settings, side, detector, policy)
+        parties.append(np.concatenate([cells[side], [[mid, mid[:, _SWAP_SIGNS]]]], axis=1))
+    return np.block([[similar / 2.0, np.zeros(2)], [np.zeros_like(similar), np.full(2, 0.5)]]), *parties
 
 
 # ---------------------------------------------------------------------------
@@ -422,38 +418,27 @@ def feasible_intensity_window(
 # ---------------------------------------------------------------------------
 
 
-def _deterministic(reversed_: bool) -> np.ndarray:
-    """The other party's certain outcome per label and basis, (2, 2, 8).
-
-    Keyed so the subtracted CHSH setting is the anti-correlated one in
-    both orientations: the plain table puts the minus on (source 0,
-    basis 1) at Bob; with roles reversed it must sit on (source 1,
-    basis 0) at Alice, the transpose, or the reversed trials would
-    cancel the plain trials' correlation at the subtracted setting.
-    """
-    codes = np.full((2, 2), OUT_PLUS)
-    codes[(1, 0) if reversed_ else (0, 1)] = OUT_MINUS
-    return np.eye(N_STATES)[codes]
-
-
-#: Per part, the weights of the (label, part) emissions that make it up:
-#: 1/2 for each label, on that part only.
-_PART_EMISSIONS = _frozen(0.5 * np.tile(np.eye(4), 2))
-
-
-def _perfect_parts(controlled: list[np.ndarray]) -> np.ndarray:
-    """The table of each of four parts alone, (4 parts, phases, 4, 8, 8).
+def _perfect_model(controlled: list[np.ndarray]):
+    """The perfect model's four parts (groups), one phase per controlled side.
 
     Phase ``p`` controls side ``p`` (1 = Bob only with role reversal), whose
-    states per label (each drawn at 1/2), part and basis are ``controlled[p]``.
+    states per label, part and basis are ``controlled[p]`` (2, 4, 2, 8).
+    The emissions are the (label, part) pairs; a part's group draws each
+    label at 1/2. The other party is certain, keyed so the subtracted CHSH
+    setting is the anti-correlated one in both orientations: the plain
+    phase puts the minus on (label 0, basis 1) at Bob; with roles reversed
+    it must sit on (label 1, basis 0) at Alice, the transpose, or the
+    reversed trials would cancel the plain trials' correlation there.
     """
-    phases = []
+    alice, bob = [], []
     for reversed_, emissions in zip((False, True), controlled):
-        det = np.repeat(_deterministic(reversed_), 4, axis=0)
+        codes = np.full((2, 2), OUT_PLUS)
+        codes[(1, 0) if reversed_ else (0, 1)] = OUT_MINUS
+        certain = np.repeat(np.eye(N_STATES)[codes], 4, axis=0)
         emissions = emissions.reshape(-1, 2, N_STATES)
-        alice, bob = (det, emissions) if reversed_ else (emissions, det)
-        phases.append(_local_table(_PART_EMISSIONS, alice, bob))
-    return _frozen(np.stack(phases, axis=1))
+        alice.append(certain if reversed_ else emissions)
+        bob.append(emissions if reversed_ else certain)
+    return 0.5 * np.tile(np.eye(4), 2), np.array(alice), np.array(bob)
 
 
 class ControlGeometry(NamedTuple):
@@ -516,24 +501,19 @@ def control_geometry(settings: MeasurementSettings) -> ControlGeometry:
     )
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _perfect_components(
-    settings: MeasurementSettings,
-    detector: DetectorModel,
-    policy: DoubleClickPolicy,
-    role_reversal: bool,
-) -> np.ndarray:
-    """The table of each control row alone, (4 rows, phases, 4, 8, 8)."""
+def _physical_model(
+    settings: MeasurementSettings, detector: DetectorModel, policy: DoubleClickPolicy, role_reversal: bool
+):
+    """The control rows' pulses of :func:`control_geometry` as the four parts."""
     geometry = control_geometry(settings)
-    return _perfect_parts([
+    return _perfect_model([
         _response(geometry.pol[side], geometry.intensity[side], settings, side, detector, policy)
         for side in range(1 + role_reversal)
     ])
 
 
-@lru_cache(maxsize=2)
-def _analytic_components(role_reversal: bool) -> np.ndarray:
-    """The analytic model's parts for weights ``(a, 1 - a, b/2, 1 - b)``.
+def _analytic_model(role_reversal: bool):
+    """The four parts for weights ``(a, 1 - a, b/2, 1 - b)``.
 
     The controlled side reports "+" (part 0) or "?" (part 1) in the label's
     basis, and "+" and "-" (part 2) or "?" (part 3) in the other.
@@ -543,12 +523,7 @@ def _analytic_components(role_reversal: bool) -> np.ndarray:
         match, mismatch = controlled[label, :, label], controlled[label, :, 1 - label]
         match[0, OUT_PLUS] = match[1, OUT_INCONCLUSIVE] = 1.0
         mismatch[2, [OUT_PLUS, OUT_MINUS]] = mismatch[3, OUT_INCONCLUSIVE] = 1.0
-    return _perfect_parts([controlled] * (1 + role_reversal))
-
-
-def _perfect_analytic_table(a: float, b: float, role_reversal: bool) -> np.ndarray:
-    """The perfect model's table with outcomes taken straight from (a, b)."""
-    return _mix((a, 1.0 - a, b / 2.0, 1.0 - b), _analytic_components(role_reversal))
+    return _perfect_model([controlled] * (1 + role_reversal))
 
 
 def perfect_no_signalling_discrepancy(a: float, b: float, role_reversal: bool = False) -> float:
@@ -559,9 +534,8 @@ def perfect_no_signalling_discrepancy(a: float, b: float, role_reversal: bool = 
     phase-averaged analytic table, as the oracle for the no-signalling
     acceptance check.
     """
-    check_unit_interval("a", a)
-    check_unit_interval("b", b)
-    table = _perfect_analytic_table(a, b, role_reversal).mean(axis=0)
+    spec = PerfectModelSpec(a, b, role_reversal=role_reversal)
+    table = joint_table(spec, None).mean(axis=0)  # the analytic table reads no settings
     return float(marginal_gaps(fold_doubles(table))[0].max())
 
 
@@ -661,6 +635,26 @@ def _quantum_table(spec: QuantumSpec, settings: MeasurementSettings) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+def _decompose(
+    spec: StrategySpec, settings: MeasurementSettings, detector: DetectorModel, policy: DoubleClickPolicy
+):
+    """A local spec's group weights, and the builder and key of its decomposition."""
+    if isinstance(spec, ExistingModelSpec):
+        return (spec.n_sim, spec.n_dif), _existing_model, (settings, detector, policy)
+    if isinstance(spec, ImprovedModelSpec):
+        _check_trigger(spec.trigger_intensity, settings)
+        return (1.0 - spec.p2, spec.p2), _improved_model, (settings, detector, policy, spec.trigger_intensity)
+    if isinstance(spec, PerfectModelSpec) and spec.mode is PerfectMode.PHYSICAL_PULSES:
+        weights = control_row_probabilities(spec.a, spec.b)
+        for side, k, reason in control_geometry(settings).infeasible:
+            if (side == 0 or spec.role_reversal) and weights[k] > 0.0:
+                raise InfeasibleGeometry(reason)
+        return weights, _physical_model, (settings, detector, policy, spec.role_reversal)
+    if isinstance(spec, PerfectModelSpec):
+        return (spec.a, 1.0 - spec.a, spec.b / 2.0, 1.0 - spec.b), _analytic_model, (spec.role_reversal,)
+    raise ValidationError(f"unknown strategy spec: {spec!r}")
+
+
 def joint_table(
     spec: StrategySpec,
     settings: MeasurementSettings,
@@ -676,24 +670,10 @@ def joint_table(
     perfect control row sent with positive probability that they cannot
     support on a side the model controls.
     """
-    if isinstance(spec, ExistingModelSpec):
-        return _mix((spec.n_sim, spec.n_dif), _existing_components(settings, detector, policy))
-    if isinstance(spec, ImprovedModelSpec):
-        _check_trigger(spec.trigger_intensity, settings)
-        components = _improved_components(settings, detector, policy, spec.trigger_intensity)
-        return _mix((1.0 - spec.p2, spec.p2), components)
-    if isinstance(spec, PerfectModelSpec) and spec.mode is PerfectMode.PHYSICAL_PULSES:
-        weights = control_row_probabilities(spec.a, spec.b)
-        for side, k, reason in control_geometry(settings).infeasible:
-            if (side == 0 or spec.role_reversal) and weights[k] > 0.0:
-                raise InfeasibleGeometry(reason)
-        components = _perfect_components(settings, detector, policy, spec.role_reversal)
-        return _mix(weights, components)
-    if isinstance(spec, PerfectModelSpec):
-        return _perfect_analytic_table(spec.a, spec.b, spec.role_reversal)
     if isinstance(spec, QuantumSpec):
         return _quantum_table(spec, settings)
-    raise ValidationError(f"unknown strategy spec: {spec!r}")
+    weights, build, key = _decompose(spec, settings, detector, policy)
+    return _mix(weights, _components(build, *key))
 
 
 # The benchmark's set-up probe (bench/setup_probe.py) builds each config's

@@ -413,6 +413,19 @@ seed = 5
         assert "--seed" in err and "--steps" in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("mc", ["--mc", "--no-mc"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_rejects_bad_workers_with_or_without_mc(self, tmp_path, capsys, mc, workers):
+        config = write_config(tmp_path, "[strategy]\nkind = existing\ne_target = 0.5\n"
+                                        "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n")
+        rc = main(["sweep", str(config), "--var", "etarget", "--from", "0.2", "--to", "0.9",
+                   "--steps", "3", "--trials", "1000", mc, f"--workers={workers}",
+                   "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: workers must be a positive integer, got {workers}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_last_seed_of_a_sweep_may_be_the_largest(self, tmp_path, capsys):
         config = write_config(tmp_path, "[strategy]\nkind = existing\ne_target = 0.5\n"
                                         "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n")

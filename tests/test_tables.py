@@ -4,12 +4,15 @@ Each table is compared with its closed-form oracle to 1e-12, and a
 property test checks, over random specs, detectors and policies, that
 every table is a probability distribution per setting whose marginals
 ignore the remote setting (exact no-signalling). A second property test
-checks that the cached, weight-free components of the pulse strategies
+checks that the cached, weight-free components of the local models
 never change a table: compiling in any order gives what a cold compile
-gives.
+gives. The locality certificates rebuild each local model's table from
+its decomposition into emissions, with probability-vector responses.
 """
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from bellsim import (
 )
 from bellsim import strategies
 from bellsim.analytic import existing_predict, perfect_predict
-from bellsim.core import DoubleClickPolicy, Outcome
+from bellsim.core import DoubleClickPolicy, Outcome, ValidationError
 from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve
 from bellsim.engine import chsh_statistics
 from bellsim.inequalities import AllZeroCoincidences
@@ -41,6 +44,10 @@ from bellsim.strategies import (
     quantum_joint_probabilities,
 )
 from oracles import perfect_joint_distribution
+
+_spec = importlib.util.spec_from_file_location("make_exact", Path(__file__).parent / "data" / "make_exact.py")
+make_exact = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_exact)
 
 STANDARD = MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5)
 CODE = {Outcome.PLUS: OUT_PLUS, Outcome.MINUS: OUT_MINUS, Outcome.INCONCLUSIVE: OUT_INCONCLUSIVE}
@@ -265,30 +272,19 @@ def clear_caches():
 
 def cached_arrays(spec, settings, detector, policy):
     """Every cached array that compiling ``spec`` reads."""
-    if isinstance(spec, ExistingModelSpec):
-        return [strategies._existing_components(settings, detector, policy)]
-    if isinstance(spec, ImprovedModelSpec):
-        return [
-            strategies._improved_components(settings, detector, policy, spec.trigger_intensity),
-            strategies._existing_components(settings, detector, policy),
-        ]
-    if isinstance(spec, PerfectModelSpec) and spec.mode is PerfectMode.PHYSICAL_PULSES:
+    if isinstance(spec, QuantumSpec):
+        return []
+    _, build, key = strategies._decompose(spec, settings, detector, policy)
+    arrays = [strategies._components(build, *key)]
+    if build is strategies._physical_model:
         geometry = strategies.control_geometry(settings)
-        return [
-            strategies._perfect_components(settings, detector, policy, spec.role_reversal),
-            geometry.pol, geometry.intensity,
-        ]
-    if isinstance(spec, PerfectModelSpec):
-        return [strategies._analytic_components(spec.role_reversal)]
-    return []
+        arrays += [geometry.pol, geometry.intensity]
+    return arrays
 
 
 def test_cached_arrays_cover_every_cached_builder():
     names = {builder.__name__ for builder in CACHED_BUILDERS}
-    assert names == {
-        "_existing_components", "_improved_components", "control_geometry", "_perfect_components",
-        "_analytic_components",
-    }
+    assert names == {"_components", "control_geometry"}
 
 
 @hyp_settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -332,3 +328,75 @@ def test_cached_components_never_change_a_table(data):
         assert scratch.flags.writeable
         scratch[...] = -1.0
         assert np.array_equal(compile_(job), table)
+
+
+# ---------------------------------------------------------------------------
+# Locality certificates
+# ---------------------------------------------------------------------------
+
+
+def assert_probability_vectors(array):
+    assert (array >= 0.0).all()
+    np.testing.assert_allclose(array.sum(axis=-1), 1.0, rtol=0, atol=EXACT)
+
+
+def pulse_model_jobs():
+    """(spec, settings, detector, policy) of every pulse model on the exact-pin grid that compiles."""
+    makers = [
+        make for name, make in make_exact.grid_specs().items()
+        if name.startswith(("existing/", "improved/")) or "/physical/" in name
+    ]
+    for degrees in make_exact.GEOMETRIES.values():
+        settings = MeasurementSettings.from_degrees(*degrees)
+        for make in makers:
+            for detector in make_exact.DETECTORS.values():
+                for policy in DoubleClickPolicy:
+                    try:
+                        spec = make(settings)
+                        joint_table(spec, settings, detector, policy)
+                    except ValidationError:
+                        continue  # the angles cannot support it
+                    yield spec, settings, detector, policy
+
+
+def test_pulse_models_are_mixtures_of_local_emissions():
+    # A constructive certificate: a setting-blind distribution over
+    # emissions, and each party's state distribution from the emission and
+    # its own basis alone, rebuild the table.
+    kinds = set()
+    for job in pulse_model_jobs():
+        weights, build, key = strategies._decompose(*job)
+        groups, alice, bob = build(*key)
+        emissions = np.array(weights) @ groups
+        assert_probability_vectors(emissions)
+        assert_probability_vectors(alice)
+        assert_probability_vectors(bob)
+        table = joint_table(*job)
+        assert len(table) == len(alice) == len(bob)
+        for phase, a, b in zip(table, alice, bob):
+            np.testing.assert_allclose(strategies._local_table(emissions, a, b), phase, rtol=0, atol=EXACT)
+        kinds.add(build.__name__)
+    assert kinds == {"_existing_model", "_improved_model", "_physical_model"}
+
+
+@hyp_settings(max_examples=100, deadline=None)
+@given(a=unit, b=unit, role_reversal=st.booleans())
+def test_analytic_parts_sum_to_a_local_model(a, b, role_reversal):
+    # Each analytic part fills one basis only, so its rows are not
+    # distributions; per label, the parts weighed together are. The source
+    # draws each label at 1/2, and the other party's response is certain.
+    spec = PerfectModelSpec(a, b, role_reversal=role_reversal)
+    weights, build, key = strategies._decompose(spec, STANDARD, None, None)
+    _, alice, bob = build(*key)
+    table = compiled(spec)
+    assert len(table) == len(alice) == 1 + role_reversal
+    for phase, (a_parts, b_parts) in enumerate(zip(alice, bob)):
+        controlled, certain = (b_parts, a_parts) if phase else (a_parts, b_parts)
+        by_label = np.einsum("k,lkbs->lbs", weights, controlled.reshape(2, 4, 2, 8))
+        certain = certain.reshape(2, 4, 2, 8)
+        assert (certain == certain[:, :1]).all()
+        assert_probability_vectors(by_label)
+        assert_probability_vectors(certain[:, 0])
+        pair = (certain[:, 0], by_label) if phase else (by_label, certain[:, 0])
+        np.testing.assert_allclose(strategies._local_table(np.array([0.5, 0.5]), *pair), table[phase],
+                                   rtol=0, atol=EXACT)
