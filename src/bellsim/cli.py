@@ -282,14 +282,22 @@ def print_summary(summary: RunSummary, out=None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse, before any trial is drawn, a path that cannot become a file."""
+    if "\0" in path or Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise ConfigError(f"cannot write {path!r}: not a file name in an existing directory")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cp = load_config(args.config)
     config = build_run_config(cp, seed_override=args.seed, trials_override=args.trials)
-    summary = run(config, workers=args.workers)
-    print_summary(summary)
     out_path = args.out
     if out_path is None and cp.has_section("output"):
         out_path = _get(cp, "output", "summary_csv", _parse_path, None)
+    if out_path:
+        _check_out_path(out_path)
+    summary = run(config, workers=args.workers)
+    print_summary(summary)
     if out_path:
         write_summary_csv(summary, out_path)
         print(f"summary written to {out_path}")
@@ -344,6 +352,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     trials = args.trials if args.trials is not None else _get(cp, "engine", "trials", int, 100_000)
     base_seed = args.seed if args.seed is not None else _get(cp, "engine", "seed", int, 0)
     _check_workers(args.workers)
+    _check_out_path(args.out)
     if args.mc and not 0 <= base_seed <= _SEED_LIMIT - args.steps:
         raise ConfigError(f"--seed {base_seed}, --steps {args.steps}: seeds seed + i must lie in [0, 2**64)")
     sweep_point = _sweep_points(args.var, cp, settings)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import iadd
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -100,9 +98,9 @@ def _run_batch(probabilities: np.ndarray, seed: int, batch_index: int, size: int
     """
     rng = _batch_rng(seed, batch_index)
     phases = len(probabilities)
-    counts = reduce(iadd, (  # in place, into the first phase's fresh array
-        rng.multinomial(len(range(p, size, phases)), probabilities[p]) for p in range(phases)
-    ))
+    counts = rng.multinomial(len(range(0, size, phases)), probabilities[0])
+    for p in range(1, phases):
+        counts += rng.multinomial(len(range(p, size, phases)), probabilities[p])
     return counts.reshape(4, N_STATES, N_STATES)
 
 
@@ -209,10 +207,9 @@ def run(config: RunConfig, workers: int = 1) -> RunSummary:
         config.strategy, config.settings, config.detector_model, config.double_click_policy
     ))
     n = config.n_trials
-    cells = reduce(iadd, (
-        _run_batch(probabilities, config.seed, i, min(BATCH_SIZE, n - start))
-        for i, start in enumerate(range(0, n, BATCH_SIZE))
-    ))
+    cells = _run_batch(probabilities, config.seed, 0, min(BATCH_SIZE, n))
+    for i, start in enumerate(range(BATCH_SIZE, n, BATCH_SIZE), 1):
+        cells += _run_batch(probabilities, config.seed, i, min(BATCH_SIZE, n - start))
     return _summarize(
         Counts._fresh(cells), config.settings,
         config.double_click_policy, config.detector_model, config.seed, config.strategy,

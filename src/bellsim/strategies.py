@@ -15,7 +15,11 @@ party's state distribution from the emission and its own basis alone,
 emission weights cannot see the settings. One cache, :func:`_components`,
 turns a decomposition into the read-only table of each group alone, and
 a spec supplies the K group weights, so a table is :func:`_mix` of the
-two and a sweep over the weights evaluates the pulse physics once.
+two and a sweep over the weights evaluates the pulse physics once. The
+perfect model's pulses are cached per settings in :func:`control_geometry`,
+and the quantum baseline's state-vector probabilities per state and
+settings in :func:`_quantum_outcomes`; a quantum run applies only its
+``eta_true`` erasure.
 """
 from __future__ import annotations
 
@@ -616,18 +620,22 @@ def quantum_correlation(alpha: Angle, beta: Angle, state: TwoQubitState) -> floa
     return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _quantum_outcomes(state: TwoQubitState, settings: MeasurementSettings) -> np.ndarray:
+    """The state's +/- joint probabilities per setting pair, (4, 2, 2): the weight-free part."""
+    return _frozen(np.array([
+        quantum_joint_probabilities(settings.alice_angle(a_i), settings.bob_angle(b_i), state)
+        for a_i in (0, 1) for b_i in (0, 1)
+    ]))
+
+
 def _quantum_table(spec: QuantumSpec, settings: MeasurementSettings) -> np.ndarray:
     """Joint outcomes of the state, then each side erased independently at 1 - eta."""
     eta = spec.eta_true
     erasure = np.zeros((2, N_STATES))  # +/- before erasure -> state after
     erasure[0, OUT_PLUS] = erasure[1, OUT_MINUS] = eta
     erasure[:, OUT_INCONCLUSIVE] = 1.0 - eta
-    table = np.empty((4, N_STATES, N_STATES))
-    for a_i in (0, 1):
-        for b_i in (0, 1):
-            p = quantum_joint_probabilities(settings.alice_angle(a_i), settings.bob_angle(b_i), spec.state)
-            table[2 * a_i + b_i] = erasure.T @ p @ erasure
-    return table[None]
+    return (erasure.T @ _quantum_outcomes(spec.state, settings) @ erasure)[None]  # a product per setting pair
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from bellsim.cli import SUMMARY_COLUMNS, main
 from bellsim.core import DoubleClickPolicy
 from bellsim.detector import StepThreshold
 from bellsim.optics import pulse_response
-from bellsim import strategies
+from bellsim import cli, strategies
 from bellsim.strategies import InfeasibleGeometry, joint_table
 
 SQRT2 = math.sqrt(2.0)
@@ -487,6 +487,50 @@ seed = 6
         for row in rows:
             eta = float(row[0])
             assert abs(float(row[5]) - (4.0 / eta - 2.0)) <= 5.0 * float(row[6])
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a trial was drawn before the output path was checked")
+
+
+class TestOutputPath:
+    """An output path that cannot become a file exits 2 before any trial is drawn."""
+
+    @pytest.mark.parametrize("where,target", [
+        ("--out", "missing/x.csv"), ("--out", "."), ("--out", "nul"),
+        ("[output]", "missing/x.csv"), ("[output]", "."),  # a config value cannot hold a NUL
+    ])
+    def test_run_checks_its_output_path_first(self, perfect_config, tmp_path, capsys, monkeypatch, where, target):
+        monkeypatch.setattr(cli, "run", _no_run)
+        path = {"missing/x.csv": str(tmp_path / "missing" / "x.csv"), ".": str(tmp_path), "nul": "x\0.csv"}[target]
+        if where == "--out":
+            argv = ["run", str(perfect_config), "--out", path]
+        else:
+            argv = ["run", str(write_config(tmp_path, perfect_config.read_text() + f"[output]\nsummary_csv = {path}\n"))]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("mc", ["--mc", "--no-mc"])
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_sweep_checks_its_output_path_first(self, tmp_path, capsys, monkeypatch, mc, target):
+        monkeypatch.setattr(cli, "run", _no_run)
+        config = write_config(tmp_path, IMPROVED_CONFIG)
+        path = str(tmp_path / "missing" / "x.csv") if target == "missing/x.csv" else str(tmp_path)
+        rc = main(["sweep", str(config), "--var", "p2", "--from", "0", "--to", "1", "--steps", "3",
+                   "--trials", "1000", mc, "--out", path])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+
+    def test_a_write_that_fails_later_is_an_io_error(self, perfect_config, tmp_path, capsys, monkeypatch):
+        def refuse(summary, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_summary_csv", refuse)
+        assert main(["run", str(perfect_config), "--trials", "1000", "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 class TestCheckFeasibilityCommand:

@@ -4,10 +4,11 @@ Each table is compared with its closed-form oracle to 1e-12, and a
 property test checks, over random specs, detectors and policies, that
 every table is a probability distribution per setting whose marginals
 ignore the remote setting (exact no-signalling). A second property test
-checks that the cached, weight-free components of the local models
-never change a table: compiling in any order gives what a cold compile
-gives. The locality certificates rebuild each local model's table from
-its decomposition into emissions, with probability-vector responses.
+checks that the cached, weight-free parts of every model never change a
+table: compiling in any order gives what a cold compile gives, and the
+quantum table, cold or warm, is the state-vector table bit for bit. The
+locality certificates rebuild each local model's table from its
+decomposition into emissions, with probability-vector responses.
 """
 import importlib.util
 import math
@@ -34,7 +35,7 @@ from bellsim import strategies
 from bellsim.analytic import existing_predict, perfect_predict
 from bellsim.core import DoubleClickPolicy, Outcome, ValidationError
 from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve
-from bellsim.engine import chsh_statistics
+from bellsim.engine import RunConfig, chsh_statistics, run
 from bellsim.inequalities import AllZeroCoincidences
 from bellsim.optics import OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
 from bellsim.strategies import (
@@ -273,7 +274,7 @@ def clear_caches():
 def cached_arrays(spec, settings, detector, policy):
     """Every cached array that compiling ``spec`` reads."""
     if isinstance(spec, QuantumSpec):
-        return []
+        return [strategies._quantum_outcomes(spec.state, settings)]
     _, build, key = strategies._decompose(spec, settings, detector, policy)
     arrays = [strategies._components(build, *key)]
     if build is strategies._physical_model:
@@ -284,7 +285,40 @@ def cached_arrays(spec, settings, detector, policy):
 
 def test_cached_arrays_cover_every_cached_builder():
     names = {builder.__name__ for builder in CACHED_BUILDERS}
-    assert names == {"_components", "control_geometry"}
+    assert names == {"_components", "control_geometry", "_quantum_outcomes"}
+
+
+def quantum_reference(state, eta_true, settings):
+    """The quantum table straight from the state vector: per setting pair,
+    the +/- joint probabilities, then each side erased at 1 - eta_true."""
+    erasure = np.zeros((2, 8))
+    erasure[0, OUT_PLUS] = erasure[1, OUT_MINUS] = eta_true
+    erasure[:, OUT_INCONCLUSIVE] = 1.0 - eta_true
+    table = np.empty((1, 4, 8, 8))
+    for pair in SettingPair:
+        p = quantum_joint_probabilities(settings.alice_angle(pair.alice), settings.bob_angle(pair.bob), state)
+        table[0, 2 * pair.alice + pair.bob] = erasure.T @ p @ erasure
+    return table
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(angles=settings_(), rotate_a=st.floats(-90.0, 90.0), rotate_b=st.floats(-90.0, 90.0), eta_true=unit)
+@example(angles=STANDARD, rotate_a=0.0, rotate_b=0.0, eta_true=0.9)
+def test_cached_quantum_table_is_the_state_vector_table_bit_for_bit(angles, rotate_a, rotate_b, eta_true):
+    state = bell_phi_plus().rotated(rotate_a, rotate_b)
+    want = quantum_reference(state, eta_true, angles).tobytes()
+    clear_caches()
+    assert joint_table(QuantumSpec(state, eta_true), angles).tobytes() == want  # cold
+    assert joint_table(QuantumSpec(state, eta_true), angles).tobytes() == want  # warm
+
+
+def test_quantum_runs_draw_the_same_counts_cold_or_warm():
+    config = RunConfig(QuantumSpec(bell_phi_plus().rotated(13.0, -27.0), 0.9), STANDARD, 3 * (1 << 16) + 5, 11)
+    clear_caches()
+    first = run(config).counts.cells
+    clear_caches()
+    assert np.array_equal(run(config).counts.cells, first)
+    assert np.array_equal(run(config).counts.cells, first)
 
 
 @hyp_settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
