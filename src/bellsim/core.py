@@ -272,6 +272,13 @@ class RunSummary:
         object.__setattr__(self, "correlations", dict(self.correlations))
         object.__setattr__(self, "joint_counts", dict(self.joint_counts))
 
+    @classmethod
+    def _fresh(cls, **fields) -> "RunSummary":
+        """A summary of statistics the engine has just computed from counts; not re-checked, dicts not copied."""
+        summary = object.__new__(cls)
+        vars(summary).update(fields)
+        return summary
+
     @property
     def strategy_label(self) -> str:
         return self.spec.label

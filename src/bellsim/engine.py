@@ -1,12 +1,15 @@
 """Monte Carlo trial loop with counter-based per-batch random streams.
 
 A run compiles its strategy spec to the exact outcome table once, then cuts
-the trial index space into fixed-size batches. Each batch draws its
-counts from that table, one multinomial per trial-parity phase, from its
-own Philox stream keyed by (seed, batch index). The batches run in index
-order in the calling thread, so a run's counts are a pure function of the
-configuration and seed. :func:`run` validates its ``workers`` argument
-but starts no thread, so the count has no effect.
+the trial index space into fixed-size batches. Each batch draws its counts
+from that table, one multinomial per trial-parity phase over the cells the
+table reaches and the last, from one Philox generator re-keyed to (seed,
+batch index): the stream of a new generator per batch over all 256 cells,
+as numpy's ``multinomial`` draws nothing for a zero-probability cell and
+gives the remainder to the last (``tests/test_engine.py::TestStreamIdentities``).
+The batches run in index order in the calling thread, so a run's counts are
+a pure function of the configuration and seed. :func:`run` validates its
+``workers`` argument but starts no thread, so the count has no effect.
 """
 from __future__ import annotations
 
@@ -48,6 +51,8 @@ BATCH_SIZE = 1 << 16
 #: Seeds are the 64-bit entropy of each batch's stream: [0, 2**64).
 _SEED_LIMIT = 1 << 64
 
+_ZERO4 = np.zeros(4, np.uint64)
+
 _PAIRS = tuple(SettingPair)
 
 #: Folds a setting pair's 64 cells over party states to its 16 cells ``4 * a + b`` over outcome codes.
@@ -74,34 +79,40 @@ class RunConfig:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed!r}")
 
 
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+def _batch_rng(seed: int, batch_index: int, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """Batch ``batch_index``'s Philox stream: a new generator, or ``rng`` re-keyed with all else as new."""
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
-    return np.random.Generator(np.random.Philox(sequence))
+    if rng is None:
+        return np.random.Generator(np.random.Philox(sequence))
+    key = sequence.generate_state(2, np.uint64)
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
+                               "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
-def _cell_probabilities(table: np.ndarray) -> np.ndarray:
-    """Per phase, the probabilities of the 256 (setting, Alice, Bob) cells.
+def _cell_probabilities(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (setting, Alice, Bob) cells some phase reaches, and the last; per phase their probabilities.
 
     Renormalized because ``multinomial`` rejects probabilities that sum to just above 1;
     this also applies each setting pair's probability 1/4, a power of two, exactly.
     """
     cells = table.reshape(len(table), -1)
-    return cells / cells.sum(axis=1, keepdims=True)
+    probabilities = cells / cells.sum(axis=1, keepdims=True)
+    reachable = probabilities.any(axis=0)
+    reachable[-1] = True
+    support = reachable.nonzero()[0]
+    return support, probabilities.take(support, axis=1)
 
 
-def _run_batch(probabilities: np.ndarray, seed: int, batch_index: int, size: int) -> np.ndarray:
-    """One batch of trials; returns its (4, 8, 8) counts, laid out as :attr:`Counts.cells`.
+def _run_batch(probabilities, seed: int, batch_index: int, size: int, counts, rng=None) -> np.random.Generator:
+    """Add one batch of trials to ``counts``; returns its generator, for the next batch to re-key.
 
-    Phase ``p`` of ``probabilities`` covers the trials whose index is ``p``
-    modulo the number of phases; each phase's counts are one multinomial
-    draw from the batch's stream.
+    Phase ``p`` of ``probabilities`` draws the trials whose index is ``p`` modulo the phase count.
     """
-    rng = _batch_rng(seed, batch_index)
-    phases = len(probabilities)
-    counts = rng.multinomial(len(range(0, size, phases)), probabilities[0])
-    for p in range(1, phases):
-        counts += rng.multinomial(len(range(p, size, phases)), probabilities[p])
-    return counts.reshape(4, N_STATES, N_STATES)
+    rng = _batch_rng(seed, batch_index, rng)
+    for p, row in enumerate(probabilities):
+        counts += rng.multinomial(len(range(p, size, len(probabilities))), row)
+    return rng
 
 
 class ChshStatistics(NamedTuple):
@@ -177,7 +188,7 @@ def _summarize(
     folded = counts.cells.reshape(4, -1) @ _FOLD
     rows = folded.tolist()
     n_trials = sum(map(sum, rows))
-    return RunSummary(
+    return RunSummary._fresh(
         counts=counts,
         **_statistics(rows, n_trials)._asdict(),
         n_trials=n_trials,
@@ -198,20 +209,22 @@ def _check_workers(workers) -> None:
 def run(config: RunConfig, workers: int = 1) -> RunSummary:
     """Simulate ``config.n_trials`` trials and summarize the counts.
 
-    The batches run in index order in the calling thread. ``workers`` is
-    validated, a positive int, but has no effect. Identical (config, seed)
-    gives a bit-identical summary.
+    The batches run in index order in the calling thread, each over the reachable
+    cells from one re-keyed generator, which keeps the stream of a new generator
+    over all 256. ``workers`` is validated, a positive int, but has no effect.
+    Identical (config, seed) gives a bit-identical summary.
     """
     _check_workers(workers)
-    probabilities = _cell_probabilities(joint_table(
+    support, probabilities = _cell_probabilities(joint_table(
         config.strategy, config.settings, config.detector_model, config.double_click_policy
     ))
-    n = config.n_trials
-    cells = _run_batch(probabilities, config.seed, 0, min(BATCH_SIZE, n))
-    for i, start in enumerate(range(BATCH_SIZE, n, BATCH_SIZE), 1):
-        cells += _run_batch(probabilities, config.seed, i, min(BATCH_SIZE, n - start))
+    counts, rng, n = np.zeros(len(support), np.int64), None, config.n_trials
+    for i, start in enumerate(range(0, n, BATCH_SIZE)):
+        rng = _run_batch(probabilities, config.seed, i, min(BATCH_SIZE, n - start), counts, rng)
+    cells = np.zeros(4 * N_STATES * N_STATES, np.int64)
+    cells[support] = counts
     return _summarize(
-        Counts._fresh(cells), config.settings,
+        Counts._fresh(cells.reshape(4, N_STATES, N_STATES)), config.settings,
         config.double_click_policy, config.detector_model, config.seed, config.strategy,
     )
 

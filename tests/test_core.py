@@ -8,6 +8,7 @@ from bellsim import MeasurementSettings, SettingPair
 from bellsim.core import (
     Angle,
     Counts,
+    RunSummary,
     ValidationError,
     normalize_degrees,
 )
@@ -158,6 +159,32 @@ class TestRunSummary:
             dataclasses.replace(summary, eta_alice=1.5)
         with pytest.raises(ValidationError):
             dataclasses.replace(summary, correlations={p: 2.0 for p in SettingPair})
+
+    def test_engine_summary_equals_the_validated_one(self, summary):
+        from bellsim.engine import chsh_statistics
+
+        cells = summary.counts.cells
+        validated = RunSummary(
+            counts=Counts(cells), **chsh_statistics(cells)._asdict(), n_trials=int(cells.sum()),
+            seed=summary.seed, spec=summary.spec, settings=summary.settings,
+            double_click_policy=summary.double_click_policy,
+            joint_counts=dict(zip(SettingPair, Counts(cells).joint)), detector_model=summary.detector_model,
+        )
+        assert vars(summary).keys() == vars(validated).keys()
+        for field in dataclasses.fields(RunSummary):
+            ours, theirs = getattr(summary, field.name), getattr(validated, field.name)
+            if field.name == "counts":
+                assert np.array_equal(ours.cells, theirs.cells)
+            elif field.name == "joint_counts":
+                assert type(ours) is dict and ours.keys() == theirs.keys()
+                assert all(ours[p].dtype == theirs[p].dtype and np.array_equal(ours[p], theirs[p]) for p in ours)
+            else:
+                assert type(ours) is type(theirs) and ours == theirs, field.name
+
+    def test_replace_revalidates_an_engine_summary(self, summary):
+        assert dataclasses.replace(summary, s_value=summary.s_value).s_value == summary.s_value
+        with pytest.raises(ValidationError):
+            dataclasses.replace(summary, s_value=5.0)
 
     def test_carries_diagnostics(self, summary):
         from bellsim.detector import StepThreshold

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bellsim import (
@@ -117,6 +117,73 @@ class TestReproducibility:
 
     def test_seed_recorded(self, standard_settings):
         assert run(perfect_config(standard_settings, n_trials=1000, seed=99)).seed == 99
+
+
+SUBNORMALS = (5e-324, 1e-310, 2.2250738585072014e-308 / 2)
+
+
+@st.composite
+def sparse_tables(draw):
+    """Cell weights of shape (phases, 256), each phase reaching a few cells, some with subnormal weight."""
+    weights = st.one_of(st.floats(1e-9, 1.0), st.sampled_from(SUBNORMALS))
+    table = np.zeros((draw(st.integers(1, 2)), 256))
+    for row in table:
+        cells = draw(st.lists(st.integers(0, 255), min_size=1, max_size=40, unique=True))
+        row[cells] = draw(st.lists(weights, min_size=len(cells), max_size=len(cells)))
+    return table
+
+
+def table_reaching(*cells_per_phase, weights=None):
+    """Cell weights with one phase per argument, each reaching the cells it lists (weight 1 by default)."""
+    table = np.zeros((len(cells_per_phase), 256))
+    for row, cells in zip(table, cells_per_phase):
+        row[list(cells)] = 1.0 if weights is None else weights
+    return table
+
+
+class TestStreamIdentities:
+    """The two numpy behaviours ``engine.run`` relies on to keep each batch's stream.
+
+    A multinomial draw over the cells a table reaches, and its last cell, counts and
+    leaves the stream as one over all 256; a re-keyed Philox generator draws as a new one.
+    """
+
+    @hyp_settings(deadline=None, max_examples=200)
+    @given(sparse_tables(), st.integers(1, 2**40), st.integers(0, SEED_LIMIT - 1), st.integers(0, 2**20))
+    @example(table_reaching([17]), 2**40, 0, 0)  # a single reachable cell
+    @example(table_reaching([3, 200, 255]), 1000, 1, 2)  # a positive last cell
+    @example(table_reaching([255]), 5, 2, 0)  # the last cell alone
+    @example(table_reaching([4, 9, 250], weights=[0.5, 5e-324, 1e-310]), 2**40, 3, 1)  # subnormal cells
+    @example(table_reaching(range(0, 6), range(100, 111)), 2**40 + 1, SEED_LIMIT - 1, 2**20)  # disjoint phases
+    def test_support_draw_counts_and_consumes_as_the_full_draw(self, table, size, seed, batch):
+        support, probabilities = bellsim.engine._cell_probabilities(table)
+        full = table / table.sum(axis=1, keepdims=True)
+        assert np.array_equal(probabilities, full[:, support])
+        assert not np.delete(full, support, axis=1).any()
+        counts, full_counts = np.zeros(len(support), np.int64), np.zeros(256, np.int64)
+        rng = bellsim.engine._run_batch(probabilities, seed, batch, size, counts)
+        full_rng = bellsim.engine._run_batch(full, seed, batch, size, full_counts)
+        cells = np.zeros(256, np.int64)
+        cells[support] = counts
+        assert np.array_equal(cells, full_counts)
+        assert cells.sum() == size
+        assert rng.integers(2**63) == full_rng.integers(2**63)
+
+    @pytest.mark.parametrize("seed", [0, SEED_LIMIT - 1])
+    @pytest.mark.parametrize("batch", [0, 1, 2**20])
+    def test_rekeyed_generator_draws_as_a_new_one(self, seed, batch):
+        used = _batch_rng(12345, 7)
+        used.integers(0, 2**32, size=3, dtype=np.uint32)
+        state = used.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4  # a spare uint32 and a part-used buffer
+        rekeyed, new = _batch_rng(seed, batch, used), _batch_rng(seed, batch)
+        assert rekeyed is used
+        for draw in (
+            lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+            lambda g: g.random(5),
+            lambda g: g.multinomial(10**6, [0.25, 0.0, 0.5, 0.25]),
+        ):
+            assert np.array_equal(draw(rekeyed), draw(new))
 
 
 @pytest.fixture(scope="module")
