@@ -1,8 +1,7 @@
 """Command-line front end: single runs, curve sweeps, control-geometry checks.
 
-Configuration files are flat INI-style key/value text with one section per
-concern ([strategy], [settings], [detector], [engine], [output]). The CLI
-emits CSV only; plotting is left to external tools.
+Configuration files are INI text, with the sections and keys that
+:data:`CONFIG_KEYS` lists. The CLI emits CSV only; plotting is left to external tools.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 runtime or
 statistical error.
@@ -50,7 +49,6 @@ from .strategies import (
 
 __all__ = ["main", "ConfigError", "load_config", "build_run_config", "write_summary_csv"]
 
-_STRATEGY_KINDS = ("existing", "improved", "perfect", "quantum")
 _REQUIRED = object()
 
 
@@ -70,27 +68,9 @@ def load_config(path: str | Path) -> configparser.ConfigParser:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    except configparser.Error as exc:  # whose message may span lines; an error prints on one
+        raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).split())}") from exc
     return parser
-
-
-def _get(
-    cp: configparser.ConfigParser,
-    section: str,
-    key: str,
-    cast: Callable[[str], Any],
-    default: Any = _REQUIRED,
-) -> Any:
-    if not cp.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-    raw = cp.get(section, key).strip()
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
 
 
 def _parse_path(raw: str) -> str:
@@ -108,87 +88,138 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def parse_settings(cp: configparser.ConfigParser) -> MeasurementSettings:
-    if not cp.has_section("settings"):
-        raise ConfigError("missing [settings] section")
-    return MeasurementSettings.from_degrees(
-        _get(cp, "settings", "alpha0", float),
-        _get(cp, "settings", "alpha1", float),
-        _get(cp, "settings", "beta0", float),
-        _get(cp, "settings", "beta1", float),
-    )
+#: Every config key: section -> key -> (parser, default). A parser is a function
+#: of the value's text or a tuple of the names the value may take. A key that
+#: picks a variant ([strategy] kind, [detector] model) has a dict instead, from
+#: each name to the keys that variant adds.
+CONFIG_KEYS: dict[str, dict[str, tuple[Any, Any]]] = {
+    "strategy": {"kind": ({
+        "existing": {"e_target": (float, _REQUIRED)},
+        "improved": {"p2": (float, _REQUIRED), "trigger_intensity": (float, None)},
+        "perfect": {
+            **dict.fromkeys(("a", "b"), (float, _REQUIRED)),
+            "mode": (tuple(m.value for m in PerfectMode), "analytic"),
+            "role_reversal": (_parse_bool, True),
+        },
+        "quantum": {
+            "state": (("phi_plus",), "phi_plus"),
+            "eta_true": (float, 1.0),
+            **dict.fromkeys(("rotate_a", "rotate_b"), (float, 0.0)),
+        },
+    }, _REQUIRED)},
+    "settings": dict.fromkeys(("alpha0", "alpha1", "beta0", "beta1"), (float, _REQUIRED)),
+    "detector": {"model": ({
+        "step": {"i_th": (float, 1.0)},
+        "two_threshold": {"i_never": (float, _REQUIRED), "i_always": (float, _REQUIRED)},
+        "empirical": {"curve_file": (_parse_path, _REQUIRED)},
+    }, "step")},
+    "engine": {
+        "trials": (int, 100_000),
+        "seed": (int, 0),
+        "double_click_policy": (tuple(p.value for p in DoubleClickPolicy), "discard"),
+    },
+    "output": {"summary_csv": (_parse_path, None)},
+}
+
+#: What an unknown name of a choice key is called, and the list of valid names, where not "<key>", "<key>s".
+_CHOICE_NOUNS = {"kind": ("strategy", "kinds"), "double_click_policy": ("policy", "policies")}
 
 
-def parse_detector(cp: configparser.ConfigParser) -> DetectorModel:
-    if not cp.has_section("detector"):
-        return StepThreshold()
-    model = _get(cp, "detector", "model", str, "step").lower()
-    if model == "step":
-        return StepThreshold(_get(cp, "detector", "i_th", float, 1.0))
-    if model == "two_threshold":
-        return TwoThreshold(
-            i_never=_get(cp, "detector", "i_never", float),
-            i_always=_get(cp, "detector", "i_always", float),
-        )
-    if model == "empirical":
-        curve_file = _get(cp, "detector", "curve_file", _parse_path)
-        return read_response_csv(curve_file)
-    raise ConfigError(
-        f"[detector] model: unknown model {model!r}; valid models: step, two_threshold, empirical"
-    )
+def _homes():
+    """Each config key with where it is read: ``[engine]``, ``[strategy] kind = improved``, ..."""
+    for section, table in CONFIG_KEYS.items():
+        for key, (parser, _) in table.items():
+            yield key, f"[{section}]"
+            if isinstance(parser, dict):
+                for name, keys in parser.items():
+                    yield from ((k, f"[{section}] {key} = {name}") for k in keys)
 
 
-def _parse_perfect_mode(cp: configparser.ConfigParser) -> PerfectMode:
-    mode_raw = _get(cp, "strategy", "mode", str, "analytic").lower()
+def _unknown(what: str, name: str, known: list[str]) -> ConfigError:
+    import difflib  # only on this error path, so a valid config does not pay for it
+
+    close = difflib.get_close_matches(name.lower(), known, n=1)
+    hint = f"did you mean {close[0]}?" if close else f"valid: {', '.join(known)}"
+    return ConfigError(f"unknown {what}; {hint}")
+
+
+def _value(section: str, key: str, parser: Any, default: Any, given: dict[str, str]) -> Any:
+    where = f"[{section}] {key}"
+    if key not in given:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {where}")
+        return default
+    raw = given[key].strip()
+    if not callable(parser):  # a choice of names
+        if raw.lower() in parser:
+            return raw.lower()
+        noun, nouns = _CHOICE_NOUNS.get(key, (key, f"{key}s"))
+        raise ConfigError(f"{where}: unknown {noun} {raw.lower()!r}; valid {nouns}: {', '.join(parser)}")
     try:
-        return PerfectMode(mode_raw)
-    except ValueError:
-        raise ConfigError(
-            f"[strategy] mode: unknown mode {mode_raw!r}; valid modes: analytic, physical"
-        ) from None
+        return parser(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: cannot parse {raw!r} ({exc})") from exc
 
 
-def _parse_policy(cp: configparser.ConfigParser) -> DoubleClickPolicy:
-    policy_raw = _get(cp, "engine", "double_click_policy", str, "discard").lower()
-    try:
-        return DoubleClickPolicy(policy_raw)
-    except ValueError:
-        raise ConfigError(
-            f"[engine] double_click_policy: unknown policy {policy_raw!r}; "
-            "valid policies: discard, randomize, flag"
-        ) from None
+def parse_config(
+    cp: configparser.ConfigParser, defaults: dict[str, Any] | None = None, **flags: Any
+) -> dict[str, Any]:
+    """Every config key by name, parsed against :data:`CONFIG_KEYS`; a section or key it lacks is an error.
+
+    ``defaults`` replace the table's defaults, and ``flags`` that are not None replace the file's values.
+    """
+    defaults = defaults or {}
+    for section in cp.sections() + ([cp.default_section] if cp.defaults() else []):
+        if section not in CONFIG_KEYS:
+            raise _unknown(f"section [{section}]", section, list(CONFIG_KEYS))
+    values: dict[str, Any] = {}
+    for section, table in CONFIG_KEYS.items():
+        given = dict(cp.items(section)) if cp.has_section(section) else {}
+        keys = dict(table)
+        for key, (parser, default) in table.items():
+            if isinstance(parser, dict):  # the chosen variant's keys join the section's
+                values[key] = _value(section, key, tuple(parser), defaults.get(key, default), given)
+                keys.update(parser[values[key]])
+        for key in given:
+            if key not in keys:
+                home = dict(_homes()).get(key)
+                if home:
+                    raise ConfigError(f"[{section}] {key}: only {home} takes this key")
+                raise _unknown(f"key [{section}] {key}", key, list(keys))
+        for key, (parser, default) in keys.items():
+            if key not in values:
+                values[key] = _value(section, key, parser, defaults.get(key, default), given)
+    return values | {key: flag for key, flag in flags.items() if flag is not None}
 
 
-def parse_strategy(cp: configparser.ConfigParser, settings: MeasurementSettings) -> StrategySpec:
-    kind = _get(cp, "strategy", "kind", str).lower()
-    if kind == "existing":
-        return ExistingModelSpec(e_target=_get(cp, "strategy", "e_target", float))
-    if kind == "improved":
-        return ImprovedModelSpec.for_settings(
-            p2=_get(cp, "strategy", "p2", float),
-            settings=settings,
-            trigger_intensity=_get(cp, "strategy", "trigger_intensity", float, None),
-        )
-    if kind == "perfect":
-        return PerfectModelSpec(
-            a=_get(cp, "strategy", "a", float),
-            b=_get(cp, "strategy", "b", float),
-            mode=_parse_perfect_mode(cp),
-            role_reversal=_get(cp, "strategy", "role_reversal", _parse_bool, True),
-        )
-    if kind == "quantum":
-        state_name = _get(cp, "strategy", "state", str, "phi_plus").lower()
-        if state_name != "phi_plus":
-            raise ConfigError(
-                f"[strategy] state: unknown state {state_name!r}; valid states: phi_plus"
-            )
-        state = bell_phi_plus().rotated(
-            _get(cp, "strategy", "rotate_a", float, 0.0),
-            _get(cp, "strategy", "rotate_b", float, 0.0),
-        )
-        return QuantumSpec(state=state, eta_true=_get(cp, "strategy", "eta_true", float, 1.0))
-    raise ConfigError(
-        f"[strategy] kind: unknown strategy {kind!r}; valid kinds: {', '.join(_STRATEGY_KINDS)}"
+#: How each [strategy] kind and [detector] model is built from the parsed config.
+_STRATEGIES: dict[str, Callable[[dict[str, Any], MeasurementSettings], StrategySpec]] = {
+    "existing": lambda v, s: ExistingModelSpec(v["e_target"]),
+    "improved": lambda v, s: ImprovedModelSpec.for_settings(v["p2"], s, v["trigger_intensity"]),
+    "perfect": lambda v, s: PerfectModelSpec(v["a"], v["b"], PerfectMode(v["mode"]), v["role_reversal"]),
+    "quantum": lambda v, s: QuantumSpec(bell_phi_plus().rotated(v["rotate_a"], v["rotate_b"]), v["eta_true"]),
+}
+_DETECTORS: dict[str, Callable[[dict[str, Any]], DetectorModel]] = {
+    "step": lambda v: StepThreshold(v["i_th"]),
+    "two_threshold": lambda v: TwoThreshold(i_never=v["i_never"], i_always=v["i_always"]),
+    "empirical": lambda v: read_response_csv(v["curve_file"]),
+}
+
+
+def _settings(v: dict[str, Any]) -> MeasurementSettings:
+    return MeasurementSettings.from_degrees(*(v[key] for key in CONFIG_KEYS["settings"]))
+
+
+def _run_config(v: dict[str, Any]) -> RunConfig:
+    """The run a parsed config describes."""
+    settings = _settings(v)
+    return RunConfig(
+        strategy=_STRATEGIES[v["kind"]](v, settings),
+        settings=settings,
+        n_trials=v["trials"],
+        seed=v["seed"],
+        double_click_policy=DoubleClickPolicy(v["double_click_policy"]),
+        detector_model=_DETECTORS[v["model"]](v),
     )
 
 
@@ -197,22 +228,7 @@ def build_run_config(
     seed_override: int | None = None,
     trials_override: int | None = None,
 ) -> RunConfig:
-    if not cp.has_section("strategy"):
-        raise ConfigError("missing [strategy] section")
-    settings = parse_settings(cp)
-    strategy = parse_strategy(cp, settings)
-    detector = parse_detector(cp)
-    policy = _parse_policy(cp)
-    n_trials = trials_override if trials_override is not None else _get(cp, "engine", "trials", int, 100_000)
-    seed = seed_override if seed_override is not None else _get(cp, "engine", "seed", int, 0)
-    return RunConfig(
-        strategy=strategy,
-        settings=settings,
-        n_trials=n_trials,
-        seed=seed,
-        double_click_policy=policy,
-        detector_model=detector,
-    )
+    return _run_config(parse_config(cp, seed=seed_override, trials=trials_override))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +305,9 @@ def _check_out_path(path: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cp = load_config(args.config)
-    config = build_run_config(cp, seed_override=args.seed, trials_override=args.trials)
-    out_path = args.out
-    if out_path is None and cp.has_section("output"):
-        out_path = _get(cp, "output", "summary_csv", _parse_path, None)
+    v = parse_config(load_config(args.config), seed=args.seed, trials=args.trials, summary_csv=args.out)
+    config = _run_config(v)
+    out_path = v["summary_csv"]
     if out_path:
         _check_out_path(out_path)
     summary = run(config, workers=args.workers)
@@ -304,26 +318,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_FAMILY = {"p2": "improved", "eta": "perfect", "etarget": "existing"}
+#: Each --var: the [strategy] kind it sweeps, and the keys it replaces.
+_SWEEP_FAMILY = {"p2": ("improved", "p2"), "eta": ("perfect", "a", "b"), "etarget": ("existing", "e_target")}
 
 #: Most grid points one sweep may ask for.
 _MAX_SWEEP_STEPS = 1_000_000
 
 
 def _sweep_points(
-    var: str, cp: configparser.ConfigParser, settings: MeasurementSettings
+    var: str, v: dict[str, Any], settings: MeasurementSettings
 ) -> Callable[[float], tuple[StrategySpec, Any]]:
     """The function from a grid value to its spec and closed-form prediction."""
     if var == "p2":
         # Resolve and check the trigger once; the points differ only in p2.
-        trigger = ImprovedModelSpec.for_settings(
-            0.0, settings, _get(cp, "strategy", "trigger_intensity", float, None)
-        ).trigger_intensity
+        trigger = ImprovedModelSpec.for_settings(0.0, settings, v["trigger_intensity"]).trigger_intensity
         return lambda x: (ImprovedModelSpec(p2=x, trigger_intensity=trigger), analytic.improved_predict(x))
     if var == "etarget":
         return lambda x: (ExistingModelSpec(e_target=x), analytic.existing_predict(x))
-    mode = _parse_perfect_mode(cp)
-    role_reversal = _get(cp, "strategy", "role_reversal", _parse_bool, True)
+    mode = PerfectMode(v["mode"])
+    role_reversal = v["role_reversal"]
 
     def point(x: float) -> tuple[StrategySpec, Any]:
         a, b, _ = analytic.ab_from_eta(x)
@@ -333,44 +346,40 @@ def _sweep_points(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cp = load_config(args.config)
-    settings = parse_settings(cp)
+    family, *swept = _SWEEP_FAMILY[args.var]
+    v = parse_config(load_config(args.config), dict.fromkeys(swept), seed=args.seed, trials=args.trials)
+    settings = _settings(v)
     if not 2 <= args.steps <= _MAX_SWEEP_STEPS:
         raise ConfigError(f"--steps must lie in [2, {_MAX_SWEEP_STEPS}], got {args.steps}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ConfigError(f"--from and --to must be finite, got {args.start!r} and {args.stop!r}")
     if not args.start < args.stop:
         raise ConfigError(f"need --from < --to, got {args.start!r} >= {args.stop!r}")
-    kind = _get(cp, "strategy", "kind", str).lower()
-    family = _SWEEP_FAMILY[args.var]
-    if kind != family:
+    if v["kind"] != family:
         raise ConfigError(
-            f"sweeping {args.var!r} requires [strategy] kind = {family}, config has {kind!r}"
+            f"sweeping {args.var!r} requires [strategy] kind = {family}, config has {v['kind']!r}"
         )
-    detector = parse_detector(cp)
-    policy = _parse_policy(cp)
-    trials = args.trials if args.trials is not None else _get(cp, "engine", "trials", int, 100_000)
-    base_seed = args.seed if args.seed is not None else _get(cp, "engine", "seed", int, 0)
     _check_workers(args.workers)
     _check_out_path(args.out)
-    if args.mc and not 0 <= base_seed <= _SEED_LIMIT - args.steps:
-        raise ConfigError(f"--seed {base_seed}, --steps {args.steps}: seeds seed + i must lie in [0, 2**64)")
-    sweep_point = _sweep_points(args.var, cp, settings)
+    if not 0 <= v["seed"] <= _SEED_LIMIT - args.steps:
+        raise ConfigError(f"--seed {v['seed']}, --steps {args.steps}: seeds seed + i must lie in [0, 2**64)")
+    sweep_point = _sweep_points(args.var, v, settings)
+    detector = _DETECTORS[v["model"]](v)
+    policy = DoubleClickPolicy(v["double_click_policy"])
 
     rows = []
     for i, x in enumerate(np.linspace(args.start, args.stop, args.steps).tolist()):
         spec, prediction = sweep_point(x)
+        # Built whether or not --mc is given, so a bad trial count fails at point 0, before any output.
+        config = RunConfig(
+            strategy=spec, settings=settings, n_trials=v["trials"],
+            seed=v["seed"] + i, double_click_policy=policy, detector_model=detector,
+        )
         row = [
             _fmt(x), _fmt(prediction.eta), _fmt(prediction.s), _fmt(gm_bound(prediction.eta)),
         ]
         if args.mc:
-            summary = run(
-                RunConfig(
-                    strategy=spec, settings=settings, n_trials=trials,
-                    seed=base_seed + i, double_click_policy=policy, detector_model=detector,
-                ),
-                workers=args.workers,
-            )
+            summary = run(config, workers=args.workers)
             row += [_fmt(summary.eta_symmetric), _fmt(summary.s_value), _fmt(summary.se_s)]
         else:
             row += ["", "", ""]
@@ -385,14 +394,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check_feasibility(args: argparse.Namespace) -> int:
-    cp = load_config(args.config)
-    settings = parse_settings(cp)
-    kind = _get(cp, "strategy", "kind", str, "perfect").lower()
-    if kind != "perfect":
-        raise ConfigError(f"check-feasibility needs [strategy] kind = perfect, config has {kind!r}")
-    a = _get(cp, "strategy", "a", float)
-    b = _get(cp, "strategy", "b", float)
-    probs = control_row_probabilities(a, b)
+    v = parse_config(load_config(args.config), {"kind": "perfect"})
+    settings = _settings(v)
+    if v["kind"] != "perfect":
+        raise ConfigError(f"check-feasibility needs [strategy] kind = perfect, config has {v['kind']!r}")
+    probs = control_row_probabilities(v["a"], v["b"])
     geometry = control_geometry(settings)
     blocked = {(side, k) for side, k, _ in geometry.infeasible}
 

@@ -112,7 +112,8 @@ def click_probability(model: DetectorModel, intensity):
     if isinstance(model, StepThreshold):
         out = (arr >= model.i_th).astype(float)
     elif isinstance(model, TwoThreshold):
-        frac = (arr - model.i_never) / (model.i_always - model.i_never)
+        with np.errstate(over="ignore"):  # a subnormal ramp width overflows to +-inf, which clip saturates
+            frac = (arr - model.i_never) / (model.i_always - model.i_never)
         out = np.clip(frac, 0.0, 1.0)
     elif isinstance(model, Empirical):
         energies = np.array([e for e, _ in model.curve])

@@ -111,7 +111,7 @@ def cases():
             c.strategy, c.settings, c.detector_model, c.double_click_policy
         )
         if args[0] == "sweep":
-            point = cli._sweep_points(parsed.var, cp, config.settings)
+            point = cli._sweep_points(parsed.var, cli.parse_config(cp), config.settings)
             for i, x in enumerate(np.linspace(parsed.start, parsed.stop, parsed.steps).tolist()):
                 out[f"golden/{name}/{i}"] = lambda c=config, p=point, x=x: joint_table(
                     p(x)[0], c.settings, c.detector_model, c.double_click_policy

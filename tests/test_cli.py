@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import importlib
+import io
 import math
+import os
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bellsim import MeasurementSettings, PerfectMode, PerfectModelSpec
 from bellsim.cli import SUMMARY_COLUMNS, main
@@ -116,9 +122,9 @@ class TestRunCommand:
         config = write_config(tmp_path, "[strategy]\nkind = telepathy\n"
                                         "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n")
         assert main(["run", str(config)]) == 2
-        err = capsys.readouterr().err
-        for name in ("existing", "improved", "perfect", "quantum"):
-            assert name in err
+        assert capsys.readouterr().err == (
+            "error: [strategy] kind: unknown strategy 'telepathy'; valid kinds: existing, improved, perfect, quantum\n"
+        )
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
@@ -145,7 +151,9 @@ beta1 = 67.5
 double_click_policy = shrug
 """)
         assert main(["run", str(config)]) == 2
-        assert "discard" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: [engine] double_click_policy: unknown policy 'shrug'; valid policies: discard, randomize, flag\n"
+        )
 
     def test_bad_boolean_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, """\
@@ -213,13 +221,15 @@ trials = 1000
 
     @pytest.mark.parametrize("extra, curve, message", [
         (b"e_target = 50%\n", None, "cannot parse '50%'"),
-        (b"e_target = 0.5\n[engine]\ndouble_click_policy = %(x)s\n", None, "unknown policy '%(x)s'"),
+        (b"e_target = 0.5\n[engine]\ndouble_click_policy = %(x)s\n", None,
+         "unknown policy '%(x)s'; valid policies: discard, randomize, flag"),
         (b"e_target = 0.5 # caf\xe9\n", None, "cannot read config"),
         (b"e_target = 0.5\n[detector]\nmodel = empirical\ncurve_file = {curve}\n",
          b"energy,click_probability\n0.5\xe9,1\n", "not UTF-8 text"),
         (b"e_target = 0.5\n[detector]\nmodel = empirical\ncurve_file = a\x00b.csv\n", None, "NUL byte"),
         (b"e_target = 0.5\n[output]\nsummary_csv = a\x00b.csv\n", None, "NUL byte"),
-    ], ids=["percent", "interpolation", "config-not-utf8", "curve-not-utf8", "curve-nul", "out-nul"])
+        (b"e_target = 0.5\n[engine]\n = 0\n", None, "cannot parse config"),  # configparser's message spans lines
+    ], ids=["percent", "interpolation", "config-not-utf8", "curve-not-utf8", "curve-nul", "out-nul", "no-key"])
     def test_unreadable_input_is_a_config_error(self, tmp_path, capsys, extra, curve, message):
         if curve is not None:
             (tmp_path / "curve.csv").write_bytes(curve)
@@ -426,6 +436,23 @@ seed = 5
         assert err == f"error: workers must be a positive integer, got {workers}\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flags, engine, message", [
+        (["--trials", "0"], "", "n_trials must be a positive integer, got 0"),
+        (["--trials", "-5"], "", "n_trials must be a positive integer, got -5"),
+        (["--seed", "-1"], "", "--seed -1, --steps 3"),
+        ([], "trials = 0\n", "n_trials must be a positive integer, got 0"),
+        ([], "seed = -1\n", "--seed -1, --steps 3"),
+    ], ids=["flag-trials-0", "flag-trials-negative", "flag-seed-negative", "config-trials-0", "config-seed-negative"])
+    def test_no_mc_sweep_checks_trials_and_seed(self, tmp_path, capsys, flags, engine, message):
+        config = write_config(tmp_path, IMPROVED_CONFIG + "[engine]\n" + engine)
+        out = tmp_path / "o.csv"
+        rc = main(["sweep", str(config), "--var", "p2", "--from", "0", "--to", "1", "--steps", "3",
+                   "--out", str(out), "--no-mc", *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        assert not out.exists()
+
     def test_last_seed_of_a_sweep_may_be_the_largest(self, tmp_path, capsys):
         config = write_config(tmp_path, "[strategy]\nkind = existing\ne_target = 0.5\n"
                                         "[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n")
@@ -624,3 +651,193 @@ beta1 = 67.5
                         joint_table(spec, settings)
                 else:
                     joint_table(spec, settings)
+
+
+SETTINGS_SECTION = "[settings]\nalpha0 = 0\nalpha1 = 45\nbeta0 = 22.5\nbeta1 = 67.5\n"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def table_keys():
+    """(section, key, parser) for every key in ``cli.CONFIG_KEYS``, each kind's and model's included."""
+    for section, table in cli.CONFIG_KEYS.items():
+        for key, (parser, _) in table.items():
+            yield section, key, (tuple(parser) if isinstance(parser, dict) else parser)
+            for variant in parser.values() if isinstance(parser, dict) else ():
+                yield from ((section, k, p) for k, (p, _) in variant.items())
+
+
+class TestConfigSchema:
+    """Every key a config gives is one the table holds for its section, kind and model."""
+
+    @pytest.mark.parametrize("text, key, where", [
+        ("[strategy]\nkind = quantum\neta_tru = 0.5\n", "eta_tru", "did you mean eta_true?"),
+        ("[strategy]\nkind = existing\ne_target = 0.5\n[detecter]\nmodel = two_threshold\n",
+         "[detecter]", "did you mean detector?"),
+        ("[strategy]\nkind = existing\ne_target = 0.5\np2 = 0.3\n", "p2", "[strategy] kind = improved"),
+        ("[strategy]\nkind = existing\ne_target = 0.5\n[detector]\nmodel = step\ni_never = 0.3\n",
+         "i_never", "[detector] model = two_threshold"),
+    ], ids=["unknown-key", "unknown-section", "key-of-another-kind", "key-of-another-model"])
+    def test_unknown_or_misplaced_key_exits_2(self, tmp_path, capsys, text, key, where):
+        config = write_config(tmp_path, SETTINGS_SECTION + "[engine]\ntrials = 1000\n" + text)
+        assert main(["run", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err and where in err and "Traceback" not in err
+
+    def test_key_of_another_section_names_its_section(self, tmp_path, capsys):
+        config = write_config(tmp_path, SETTINGS_SECTION + "[strategy]\nkind = existing\ne_target = 0.5\nseed = 3\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == "error: [strategy] seed: only [engine] takes this key\n"
+
+    def test_each_key_has_one_home(self):
+        keys = [key for _, key, _ in table_keys()]
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "tests" / "data" / "golden").glob("*.ini")), ids=lambda p: p.stem)
+    def test_every_golden_config_parses(self, path):
+        cli.build_run_config(cli.load_config(path))
+
+    @pytest.mark.parametrize("name", ["pulses", "tables", "sweep"])
+    def test_every_benchmark_config_parses(self, tmp_path, monkeypatch, name):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        workloads = importlib.import_module("workloads")
+        paths = workloads.build(name, 1, tmp_path, tiny=True).config_paths
+        assert paths
+        for path in paths:
+            cli.build_run_config(cli.load_config(path))
+
+    def test_readme_names_exactly_the_table_keys(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command-line use", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        cli.build_run_config(cli.load_config(write_config(tmp_path, block)))
+        named = set(re.findall(r"^[;\s]*(\w+)\s*=", block, flags=re.M))
+        sections = set(re.findall(r"^\[(\w+)\]", block, flags=re.M))
+        assert named == {key for _, key, _ in table_keys()}
+        assert sections == set(cli.CONFIG_KEYS)
+
+
+#: Values that no key takes as they are, or takes only at an extreme.
+WILD_VALUES = ["", "nan", "inf", "-inf", "-1", "-0.5", "1e308", "-1e308", "1e-320", str(2**64), str(-2**63),
+               "0x10", "50%", "%(x)s", "true", "abc", "1,5", "; 1", "phi_plus", "STEP"]
+#: What a wild [engine] trials holds: no draw asks for more than 2,000 trials.
+WILD_TRIALS = ["", "-1", "0", "nan", "1e3", "2.5", "abc"]
+#: The standard angles, which most drawn configs keep.
+ANGLES = {"alpha0": "0", "alpha1": "45", "beta0": "22.5", "beta1": "67.5"}
+
+
+def good_values(key, parser):
+    """Values this key may well take."""
+    if key in ANGLES:
+        return st.sampled_from([ANGLES[key]] * 3 + ["90", "-33.75", "11.25"])
+    if isinstance(parser, tuple):
+        return st.sampled_from(parser + tuple(name.upper() for name in parser))
+    if parser is int:
+        return st.integers(1, 2000).map(str)
+    if parser is float:
+        return st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["0", "1", "0.2612", "1.2", "1.5", "1.95"]))
+    if parser is cli._parse_path:
+        return st.sampled_from(["curve.csv", "missing.csv", "out.csv", "sub", "missing/out.csv"])
+    return st.sampled_from(["true", "false", "yes", "0"])
+
+
+def misspelt(name):
+    return st.sampled_from([name[:-1], name + "x", name[1:], name.replace("_", ""), name.upper()])
+
+
+@st.composite
+def cases(draw):
+    """A config drawn from the table, then misspelt, misplaced and given wild values, and a command for it."""
+    sections = {}
+    for section, table in cli.CONFIG_KEYS.items():
+        keys = sections[section] = {}
+        for key, (parser, default) in table.items():
+            if isinstance(parser, dict):  # pick a kind or model, then some of its keys
+                keys[key] = draw(st.sampled_from(list(parser)))
+                for name, (p, d) in parser[keys[key]].items():
+                    if d is cli._REQUIRED or draw(st.booleans()):
+                        keys[name] = draw(good_values(name, p))
+            elif default is cli._REQUIRED or draw(st.booleans()):
+                keys[key] = draw(good_values(key, parser))
+    kind = sections["strategy"]["kind"]
+    all_keys = list(table_keys())
+    for change in draw(st.lists(st.sampled_from(["section", "key", "misplace", "wild", "drop", "default"]),
+                                max_size=2)):
+        section = draw(st.sampled_from(sorted(sections)))
+        keys = sections[section]
+        key = draw(st.sampled_from(sorted(keys))) if keys else None
+        if change == "section":
+            sections[draw(misspelt(section))] = sections.pop(section)
+        elif change == "key" and key:
+            keys[draw(misspelt(key))] = keys.pop(key)
+        elif change == "misplace":
+            _, name, parser = draw(st.sampled_from(all_keys))
+            keys[name] = draw(good_values(name, parser))
+        elif change == "wild" and key:
+            keys[key] = draw(st.sampled_from(WILD_TRIALS if key == "trials" else WILD_VALUES))
+        elif change == "drop" and key:
+            del keys[key]
+        elif change == "default":
+            sections["DEFAULT"] = {key or "seed": "1"}
+
+    command = draw(st.sampled_from(["run", "sweep", "check-feasibility"]))
+    argv = [command, "config.ini"]
+    if command == "check-feasibility":
+        return sections, argv
+    if command == "sweep":
+        var = {family: var for var, (family, *_) in cli._SWEEP_FAMILY.items()}.get(kind, "p2")
+        bound = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, -math.inf]))
+        start, stop = draw(st.one_of(st.sampled_from([(0.7, 1.0), (0.0, 0.8)]), st.tuples(bound, bound)))
+        argv += ["--var", draw(st.sampled_from([var, var, "p2", "eta", "etarget"])), f"--from={start!r}",
+                 f"--to={stop!r}", f"--steps={draw(st.one_of(st.integers(2, 5), st.integers(-1, 5)))}",
+                 "--out", "sweep.csv", draw(st.sampled_from(["--mc", "--no-mc"]))]
+    elif draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["out.csv", "sub", "missing/out.csv"]))]
+    for flag, values in (("--seed", st.one_of(st.integers(0, 100), st.sampled_from([-1, 2**64 - 1, 2**64]))),
+                         ("--trials", st.integers(-1, 2000)), ("--workers", st.integers(-1, 8))):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    if not any(arg.startswith("--trials") for arg in argv):  # not the default of 100,000
+        sections.setdefault("engine", {}).setdefault("trials", "2000")
+    return sections, argv
+
+
+def ini_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+
+
+@contextlib.contextmanager
+def in_directory(path):
+    """Run the block with ``path`` as the working directory, as ``contextlib.chdir`` does from Python 3.11."""
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+class TestEveryInputEndsCleanly:
+    """Any config drawn from the table ends in a result or a one-line error."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz")
+        (path / "sub").mkdir()
+        return path
+
+    @hyp_settings(deadline=None, max_examples=300)
+    @given(cases())
+    def test_exit_code_and_one_line(self, workdir, case):
+        sections, argv = case
+        (workdir / "config.ini").write_text(ini_text(sections), encoding="utf-8")
+        (workdir / "curve.csv").write_text("energy,click_probability\n0.3,0\n0.9,1\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with in_directory(workdir), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, err

@@ -42,6 +42,12 @@ class TestTwoThreshold:
         assert click_probability(model, 1.2) == 1.0
         assert click_probability(model, 3.0) == 1.0
 
+    @pytest.mark.parametrize("width", [2.2250738585e-313, 5e-324])
+    def test_subnormal_ramp_saturates_without_a_warning(self, width, recwarn):
+        model = TwoThreshold(0.0, width)
+        assert click_probability(model, np.array([0.0, width, 1.0, 1e308])).tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert not recwarn.list
+
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(ValidationError):
             TwoThreshold(1.2, 0.8)
