@@ -38,12 +38,6 @@ class Prediction:
     e_per_setting: ChshCombination
     coincidence_prob: float
 
-    def __post_init__(self) -> None:
-        check_unit_interval("eta", self.eta)
-        if not (-4.0 <= self.s <= 4.0):
-            raise ValidationError(f"s must lie in [-4, 4], got {self.s!r}")
-        check_unit_interval("coincidence_prob", self.coincidence_prob)
-
 
 def _chsh_pattern(e: float) -> ChshCombination:
     # Three positive correlations and a negative one on the subtracted term.

@@ -192,6 +192,13 @@ def parse_config(
     return values | {key: flag for key, flag in flags.items() if flag is not None}
 
 
+def _read_curve(path: str) -> DetectorModel:
+    try:
+        return read_response_csv(path)
+    except OSError as exc:  # a missing file or a directory is a configuration error, not an i/o failure
+        raise ConfigError(f"cannot read [detector] curve_file: {exc}") from exc
+
+
 #: How each [strategy] kind and [detector] model is built from the parsed config.
 _STRATEGIES: dict[str, Callable[[dict[str, Any], MeasurementSettings], StrategySpec]] = {
     "existing": lambda v, s: ExistingModelSpec(v["e_target"]),
@@ -202,7 +209,7 @@ _STRATEGIES: dict[str, Callable[[dict[str, Any], MeasurementSettings], StrategyS
 _DETECTORS: dict[str, Callable[[dict[str, Any]], DetectorModel]] = {
     "step": lambda v: StepThreshold(v["i_th"]),
     "two_threshold": lambda v: TwoThreshold(i_never=v["i_never"], i_always=v["i_always"]),
-    "empirical": lambda v: read_response_csv(v["curve_file"]),
+    "empirical": lambda v: _read_curve(v["curve_file"]),
 }
 
 
@@ -262,35 +269,28 @@ def write_summary_csv(summary: RunSummary, path: str | Path) -> None:
         writer.writerow(["seed", "" if summary.seed is None else summary.seed])
 
 
-def print_summary(summary: RunSummary, out=None) -> None:
-    out = out or sys.stdout
-    print(f"strategy: {summary.strategy_label}", file=out)
+def print_summary(summary: RunSummary) -> None:
+    print(f"strategy: {summary.strategy_label}")
     s = summary.settings
-    print(
-        f"settings: alpha0={s.alpha0} alpha1={s.alpha1} beta0={s.beta0} beta1={s.beta1}",
-        file=out,
-    )
+    print(f"settings: alpha0={s.alpha0} alpha1={s.alpha1} beta0={s.beta0} beta1={s.beta1}")
     seed = "-" if summary.seed is None else summary.seed
     print(
         f"trials: {summary.n_trials}  seed: {seed}  "
-        f"policy: {summary.double_click_policy.value}",
-        file=out,
+        f"policy: {summary.double_click_policy.value}"
     )
-    print("setting       E  coincidences  doubles", file=out)
+    print("setting       E  coincidences  doubles")
     doubles = dict(zip(SettingPair, summary.counts.doubles))
     for pair in CHSH_ORDER:
         print(
             f"{pair.label:>7}  {summary.correlations[pair]:+.6f}  "
-            f"{summary.joint_counts[pair][:2, :2].sum():>12}  {doubles[pair]:>7}",
-            file=out,
+            f"{summary.joint_counts[pair][:2, :2].sum():>12}  {doubles[pair]:>7}"
         )
-    print(f"S = {summary.s_value:.6f} (SE {summary.se_s:.6f})", file=out)
+    print(f"S = {summary.s_value:.6f} (SE {summary.se_s:.6f})")
     print(
         f"eta_alice = {summary.eta_alice:.6f}  eta_bob = {summary.eta_bob:.6f}  "
-        f"eta_symmetric = {summary.eta_symmetric:.6f} (SE {summary.se_eta_symmetric:.6f})",
-        file=out,
+        f"eta_symmetric = {summary.eta_symmetric:.6f} (SE {summary.se_eta_symmetric:.6f})"
     )
-    print(f"double-click trials: {summary.total_double_events}", file=out)
+    print(f"double-click trials: {summary.total_double_events}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "MeasurementSettings",
     "SettingPair",
     "CHSH_ORDER",
-    "Outcome",
     "DoubleClickPolicy",
     "fold_doubles",
     "Counts",
@@ -137,15 +136,6 @@ class SettingPair(Enum):
 #: Settings in the order their correlations enter the CHSH combination
 #: (the last one carries the minus sign).
 CHSH_ORDER = (SettingPair.A0B0, SettingPair.A1B0, SettingPair.A1B1, SettingPair.A0B1)
-
-
-class Outcome(Enum):
-    """Result of one party's measurement of one trial."""
-
-    PLUS = "+"
-    MINUS = "-"
-    INCONCLUSIVE = "?"
-    DOUBLE = "D"
 
 
 class DoubleClickPolicy(Enum):

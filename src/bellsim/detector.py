@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "Empirical",
     "DetectorModel",
     "click_probability",
-    "load_response_curve",
     "read_response_csv",
     "bundled_response_curve",
 ]
@@ -127,11 +126,6 @@ def click_probability(model: DetectorModel, intensity):
     return out
 
 
-def load_response_curve(rows: Iterable[Sequence[float]]) -> Empirical:
-    """Validate (energy, click_probability) rows into an :class:`Empirical` model."""
-    return Empirical(tuple((float(e), float(p)) for e, p in rows))
-
-
 _CSV_HEADER = ("energy", "click_probability")
 
 
@@ -164,7 +158,7 @@ def read_response_csv(path: str | Path) -> Empirical:
                     raise MalformedCurve(f"{path}:{lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedCurve(f"{path}: not UTF-8 text ({exc})") from exc
-    return load_response_curve(rows)
+    return Empirical(tuple(rows))
 
 
 def bundled_response_curve() -> Empirical:

@@ -29,7 +29,7 @@ from .core import (
 )
 from .detector import DetectorModel, StepThreshold
 from .inequalities import AllZeroCoincidences, marginal_gaps
-from .optics import N_STATES, OUTCOME_BY_CODE
+from .optics import N_STATES
 from .strategies import StrategySpec, joint_table
 
 __all__ = [
@@ -287,7 +287,7 @@ def no_signalling_from_tables(
     if compared[worst] > 0.0:
         own, party, o = worst
         worst_case = (
-            f"{('alice', 'bob')[party]} outcome {OUTCOME_BY_CODE[o].value!r} at own setting {own}: "
+            f"{('alice', 'bob')[party]} outcome {'+-?D'[o]!r} at own setting {own}: "
             f"|{p0[worst]:.6g} - {p1[worst]:.6g}| = {gap[worst]:.3g} vs {z:g} SE = {z * se[worst]:.3g}"
         )
     return NoSignallingReport(

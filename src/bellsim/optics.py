@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import Angle, DoubleClickPolicy, Outcome, ValidationError
+from .core import Angle, DoubleClickPolicy, ValidationError
 from .detector import DetectorModel, click_probability
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "OUT_INCONCLUSIVE",
     "OUT_DOUBLE",
     "N_STATES",
-    "OUTCOME_BY_CODE",
 ]
 
 OUT_PLUS = 0
@@ -37,7 +36,6 @@ OUT_MINUS = 1
 OUT_INCONCLUSIVE = 2
 OUT_DOUBLE = 3
 N_STATES = 8
-OUTCOME_BY_CODE = (Outcome.PLUS, Outcome.MINUS, Outcome.INCONCLUSIVE, Outcome.DOUBLE)
 
 # Where a double click lands under each policy: RANDOMIZE splits it evenly
 # between "+" and "-", DISCARD reports it inconclusive, FLAG as DOUBLE.

@@ -548,14 +548,14 @@ def perfect_no_signalling_discrepancy(a: float, b: float, role_reversal: bool = 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TwoQubitState:
     """A normalized two-qubit polarization state (amplitude order HH, HV, VH, VV).
 
-    Equal amplitudes make equal states, so a state parsed twice is one value.
+    The amplitudes are stored as a tuple of complex, so a state parsed twice is one value.
     """
 
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -564,17 +564,7 @@ class TwoQubitState:
         norm = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm - 1.0) <= 1e-9:
             raise ValidationError(f"state must be normalized, got |psi|^2 = {norm!r}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TwoQubitState):
-            return NotImplemented
-        return self.amplitudes.tolist() == other.amplitudes.tolist()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.amplitudes.tolist()))
+        object.__setattr__(self, "amplitudes", tuple(amps.tolist()))
 
     def rotated(self, alice_deg: float = 0.0, bob_deg: float = 0.0) -> "TwoQubitState":
         """Apply a polarization-plane rotation to each qubit."""

@@ -1,7 +1,7 @@
 """Closed-form oracles that only the tests need."""
 from __future__ import annotations
 
-from bellsim.core import Outcome, ValidationError, check_unit_interval
+from bellsim.core import ValidationError, check_unit_interval
 
 
 def perfect_joint_distribution(
@@ -11,7 +11,7 @@ def perfect_joint_distribution(
     a: float,
     b: float,
     role_reversed: bool = False,
-) -> dict[tuple[Outcome, Outcome], float]:
+) -> dict[tuple[str, str], float]:
     """Exact joint outcome distribution for one source label and setting pair.
 
     Probabilities over {+, -, ?} x {+, -, ?}; zero-probability outcomes are
@@ -27,16 +27,12 @@ def perfect_joint_distribution(
         det_minus = label == 1 and det_basis == 0
     else:
         det_minus = label == 0 and det_basis == 1
-    det_out = Outcome.MINUS if det_minus else Outcome.PLUS
+    det_out = "-" if det_minus else "+"
     if ctrl_basis == label:
-        ctrl_dist = {Outcome.PLUS: a, Outcome.INCONCLUSIVE: 1.0 - a}
+        ctrl_dist = {"+": a, "?": 1.0 - a}
     else:
-        ctrl_dist = {
-            Outcome.PLUS: b / 2.0,
-            Outcome.MINUS: b / 2.0,
-            Outcome.INCONCLUSIVE: 1.0 - b,
-        }
-    dist: dict[tuple[Outcome, Outcome], float] = {}
+        ctrl_dist = {"+": b / 2.0, "-": b / 2.0, "?": 1.0 - b}
+    dist: dict[tuple[str, str], float] = {}
     for ctrl_out, p in ctrl_dist.items():
         if p == 0.0:
             continue

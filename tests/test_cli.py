@@ -227,9 +227,14 @@ trials = 1000
         (b"e_target = 0.5\n[detector]\nmodel = empirical\ncurve_file = {curve}\n",
          b"energy,click_probability\n0.5\xe9,1\n", "not UTF-8 text"),
         (b"e_target = 0.5\n[detector]\nmodel = empirical\ncurve_file = a\x00b.csv\n", None, "NUL byte"),
+        (b"e_target = 0.5\n[detector]\nmodel = empirical\ncurve_file = {curve}\n", None,
+         "cannot read [detector] curve_file: [Errno 2] No such file or directory"),
+        (b"e_target = 0.5\n[detector]\nmodel = empirical\ncurve_file = {dir}\n", None,
+         "cannot read [detector] curve_file: [Errno 21] Is a directory"),
         (b"e_target = 0.5\n[output]\nsummary_csv = a\x00b.csv\n", None, "NUL byte"),
         (b"e_target = 0.5\n[engine]\n = 0\n", None, "cannot parse config"),  # configparser's message spans lines
-    ], ids=["percent", "interpolation", "config-not-utf8", "curve-not-utf8", "curve-nul", "out-nul", "no-key"])
+    ], ids=["percent", "interpolation", "config-not-utf8", "curve-not-utf8", "curve-nul", "curve-missing",
+            "curve-directory", "out-nul", "no-key"])
     def test_unreadable_input_is_a_config_error(self, tmp_path, capsys, extra, curve, message):
         if curve is not None:
             (tmp_path / "curve.csv").write_bytes(curve)
@@ -237,6 +242,7 @@ trials = 1000
         config.write_bytes(
             b"[settings]\nalpha0=0\nalpha1=45\nbeta0=22.5\nbeta1=67.5\n[strategy]\nkind = existing\n"
             + extra.replace(b"{curve}", str(tmp_path / "curve.csv").encode())
+            .replace(b"{dir}", str(tmp_path).encode())
         )
         assert main(["run", str(config), "--trials", "1000"]) == 2
         err = capsys.readouterr().err

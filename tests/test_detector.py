@@ -10,7 +10,6 @@ from bellsim.detector import (
     TwoThreshold,
     bundled_response_curve,
     click_probability,
-    load_response_curve,
     read_response_csv,
 )
 from bellsim.optics import N_STATES, OUT_DOUBLE, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS, pulse_response
@@ -68,14 +67,14 @@ class TestTwoThreshold:
 
 class TestEmpirical:
     def test_clamping_and_interpolation(self):
-        model = load_response_curve([(0.1, 0.0), (0.2, 1.0)])
+        model = Empirical(((0.1, 0.0), (0.2, 1.0)))
         assert click_probability(model, 0.05) == 0.0
         assert click_probability(model, 0.15) == pytest.approx(0.5)
         assert click_probability(model, 0.2) == 1.0
         assert click_probability(model, 5.0) == 1.0
 
     def test_zero_below_first_point(self):
-        model = load_response_curve([(1.0, 0.3), (2.0, 0.8)])
+        model = Empirical(((1.0, 0.3), (2.0, 0.8)))
         assert click_probability(model, 0.999) == 0.0
         assert click_probability(model, 1.0) == pytest.approx(0.3)
         assert click_probability(model, 3.0) == pytest.approx(0.8)
@@ -93,7 +92,7 @@ class TestEmpirical:
     )
     def test_malformed_curves_rejected(self, rows):
         with pytest.raises(MalformedCurve):
-            load_response_curve(rows)
+            Empirical(tuple(rows))
 
 
 class TestMonotonicityAndBounds:

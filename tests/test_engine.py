@@ -486,6 +486,27 @@ class TestNoSignalling:
         assert report.max_discrepancy == pytest.approx(0.1, abs=1e-9)
         assert "alice" in report.worst_case
 
+    @pytest.mark.parametrize("symbol, code", [("?", 2), ("D", 3)])
+    def test_worst_case_names_the_outcome_symbol(self, symbol, code):
+        # Alice's counts of "+", "-" and `code`, with Bob always "+": at her setting 0
+        # the gap on `code` is the largest.
+        def table(plus, minus, other):
+            t = np.zeros((4, 4), dtype=np.int64)
+            t[[0, 1, code], 0] = plus, minus, other
+            return t
+
+        tables = {
+            SettingPair.A0B0: table(500, 300, 200),
+            SettingPair.A0B1: table(450, 250, 300),
+            SettingPair.A1B0: table(500, 500, 0),
+            SettingPair.A1B1: table(500, 500, 0),
+        }
+        report = no_signalling_from_tables(tables)
+        assert not report.passed
+        assert report.worst_case == (
+            f"alice outcome {symbol!r} at own setting 0: |0.2 - 0.3| = 0.1 vs 4 SE = 0.0769"
+        )
+
 
 class TestPhysicalModeThroughEngine:
     def test_threshold_point_with_step_detectors(self, standard_settings):

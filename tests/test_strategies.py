@@ -17,7 +17,8 @@ from bellsim import (
     quantum_correlation,
     run,
 )
-from bellsim.core import Angle, DoubleClickPolicy, Outcome, ValidationError
+from bellsim import strategies
+from bellsim.core import Angle, DoubleClickPolicy, ValidationError
 from bellsim.detector import StepThreshold, TwoThreshold
 from bellsim.optics import N_STATES, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS, pulse_response
 from bellsim.strategies import (
@@ -39,7 +40,7 @@ A_THRESHOLD = 12.0 * SQRT2 - 16.0
 B_THRESHOLD = 40.0 - 28.0 * SQRT2
 STEP = StepThreshold(1.0)
 
-P, M, Q = Outcome.PLUS, Outcome.MINUS, Outcome.INCONCLUSIVE
+P, M, Q = "+", "-", "?"
 CODE = {P: OUT_PLUS, M: OUT_MINUS, Q: OUT_INCONCLUSIVE}
 
 
@@ -588,6 +589,21 @@ class TestQuantumOracle:
             TwoQubitState(np.array([1.0, 0.0, 0.0, 1.0]))
         with pytest.raises(ValidationError):
             TwoQubitState(np.array([1.0, 0.0, 0.0]))
+
+    def test_equal_amplitudes_are_one_value(self, standard_settings):
+        """A state built twice is one value: equal, equally hashed, and compiled into one cache entry."""
+        first = bell_phi_plus()
+        states = [first, bell_phi_plus(), TwoQubitState(np.array([1.0, 0.0, 0.0, 1.0]) / SQRT2),
+                  TwoQubitState(first.amplitudes)]
+        assert all(state == first and hash(state) == hash(first) for state in states)
+        strategies._quantum_outcomes.cache_clear()
+        for state in states:
+            compiled(QuantumSpec(state, eta_true=0.9), standard_settings)
+        assert strategies._quantum_outcomes.cache_info().currsize == 1
+        other = first.rotated(alice_deg=67.5)
+        assert other != first
+        compiled(QuantumSpec(other, eta_true=0.9), standard_settings)
+        assert strategies._quantum_outcomes.cache_info().currsize == 2
 
     def test_skewed_angle_set_needs_a_rotated_state(self):
         """This skewed angle set reaches 2*sqrt(2) only after rotating

@@ -33,7 +33,7 @@ from bellsim import (
 )
 from bellsim import strategies
 from bellsim.analytic import existing_predict, perfect_predict
-from bellsim.core import DoubleClickPolicy, Outcome, ValidationError
+from bellsim.core import DoubleClickPolicy, ValidationError
 from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve
 from bellsim.engine import RunConfig, chsh_statistics, run
 from bellsim.inequalities import AllZeroCoincidences
@@ -51,7 +51,7 @@ make_exact = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_exact)
 
 STANDARD = MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5)
-CODE = {Outcome.PLUS: OUT_PLUS, Outcome.MINUS: OUT_MINUS, Outcome.INCONCLUSIVE: OUT_INCONCLUSIVE}
+CODE = {"+": OUT_PLUS, "-": OUT_MINUS, "?": OUT_INCONCLUSIVE}
 EXACT = 1e-12
 
 
