@@ -151,14 +151,18 @@ class DoubleClickPolicy(Enum):
     FLAG = "flag"
 
 
+#: Folds a setting pair's 64 cells over party states to its 16 cells ``4 * a + b`` over outcome codes.
+_FOLD = np.eye(16, dtype=np.int64)[[4 * (i % 4) + j % 4 for i in range(8) for j in range(8)]]
+
+
 def fold_doubles(cells) -> np.ndarray:
     """Outcome-code table (..., 4, 4) of a party-state table (..., 8, 8).
 
     A party's state is ``code + 4 * double`` (see :mod:`bellsim.optics`);
-    folding sums away whether both of its detectors fired.
+    folding sums away whether both of its detectors fired. Counts stay int64.
     """
     cells = np.asarray(cells)
-    return cells.reshape(cells.shape[:-2] + (2, 4, 2, 4)).sum(axis=(-4, -2))
+    return (cells.reshape(cells.shape[:-2] + (64,)) @ _FOLD).reshape(cells.shape[:-2] + (4, 4))
 
 
 @dataclass(frozen=True, eq=False)

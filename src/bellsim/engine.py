@@ -26,6 +26,7 @@ from .core import (
     RunSummary,
     SettingPair,
     ValidationError,
+    fold_doubles,
 )
 from .detector import DetectorModel, StepThreshold
 from .inequalities import AllZeroCoincidences, marginal_gaps
@@ -54,9 +55,6 @@ _SEED_LIMIT = 1 << 64
 _ZERO4 = np.zeros(4, np.uint64)
 
 _PAIRS = tuple(SettingPair)
-
-#: Folds a setting pair's 64 cells over party states to its 16 cells ``4 * a + b`` over outcome codes.
-_FOLD = np.eye(16, dtype=np.int64)[[4 * (i % 4) + j % 4 for i in range(N_STATES) for j in range(N_STATES)]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +137,7 @@ def chsh_statistics(cells) -> ChshStatistics:
     :class:`AllZeroCoincidences` naming the first setting pair with no
     coincidences.
     """
-    rows = (np.asarray(cells).reshape(4, -1) @ _FOLD).tolist()
+    rows = fold_doubles(cells).reshape(4, 16).tolist()
     return _statistics(rows, sum(map(sum, rows)))
 
 
@@ -185,8 +183,8 @@ def _summarize(
     seed: int | None,
     spec: StrategySpec,
 ) -> RunSummary:
-    folded = counts.cells.reshape(4, -1) @ _FOLD
-    rows = folded.tolist()
+    joint = fold_doubles(counts.cells)
+    rows = joint.reshape(4, 16).tolist()
     n_trials = sum(map(sum, rows))
     return RunSummary._fresh(
         counts=counts,
@@ -196,7 +194,7 @@ def _summarize(
         spec=spec,
         settings=settings,
         double_click_policy=policy,
-        joint_counts=dict(zip(_PAIRS, folded.reshape(4, 4, 4))),
+        joint_counts=dict(zip(_PAIRS, joint)),
         detector_model=detector,
     )
 
@@ -240,17 +238,15 @@ def merge(summaries: Sequence[RunSummary]) -> RunSummary:
         raise ValidationError("nothing to merge")
     first = summaries[0]
     for other in summaries[1:]:
-        if other.spec != first.spec:
-            raise ValidationError(f"cannot merge different strategies: {other.spec!r} vs {first.spec!r}")
-        if other.settings != first.settings:
-            raise ValidationError("cannot merge runs with different measurement settings")
-        if other.double_click_policy is not first.double_click_policy:
-            raise ValidationError("cannot merge runs with different double-click policies")
-        if other.detector_model != first.detector_model:
-            raise ValidationError(
-                f"cannot merge runs with different detectors: {other.detector_model!r} "
-                f"vs {first.detector_model!r}"
-            )
+        for field, noun in (
+            ("spec", "strategies"),
+            ("settings", "measurement settings"),
+            ("double_click_policy", "double-click policies"),
+            ("detector_model", "detectors"),
+        ):
+            mine, theirs = getattr(other, field), getattr(first, field)
+            if mine != theirs:
+                raise ValidationError(f"cannot merge runs with different {noun}: {mine!r} vs {theirs!r}")
     seeds = {s.seed for s in summaries}
     seed = seeds.pop() if len(seeds) == 1 else None
     return _summarize(

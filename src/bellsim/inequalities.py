@@ -39,12 +39,6 @@ class ChshCombination:
     e11: float
     e01: float
 
-    def __post_init__(self) -> None:
-        for name in ("e00", "e10", "e11", "e01"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and -1.0 <= value <= 1.0):
-                raise ValidationError(f"{name} must lie in [-1, 1], got {value!r}")
-
 
 def correlation_from_counts(n_pp: float, n_pm: float, n_mp: float, n_mm: float) -> float:
     """Correlation of one setting from its coincidence counts.

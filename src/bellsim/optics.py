@@ -14,15 +14,12 @@ policy may have folded into a regular outcome.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import Angle, DoubleClickPolicy, ValidationError
+from .core import DoubleClickPolicy
 from .detector import DetectorModel, click_probability
 
 __all__ = [
-    "malus_split",
     "pulse_response",
     "OUT_PLUS",
     "OUT_MINUS",
@@ -44,19 +41,6 @@ _DOUBLE_STATES = {
     DoubleClickPolicy.DISCARD: (4 + OUT_INCONCLUSIVE,),
     DoubleClickPolicy.FLAG: (4 + OUT_DOUBLE,),
 }
-
-
-def malus_split(incoming_pol: Angle, analyzer_angle: Angle, intensity: float) -> tuple[float, float]:
-    """Split an intensity between the analyzer's two output ports.
-
-    Returns ``(transmitted, reflected)`` = ``(I cos^2 d, I sin^2 d)`` where
-    ``d`` is the angle between the incoming polarization and the analyzer
-    axis. The two parts sum back to the input (to float precision).
-    """
-    if not (math.isfinite(intensity) and intensity >= 0.0):
-        raise ValidationError(f"intensity must be finite and >= 0, got {intensity!r}")
-    delta = math.radians(incoming_pol.degrees - analyzer_angle.degrees)
-    return intensity * math.cos(delta) ** 2, intensity * math.sin(delta) ** 2
 
 
 def pulse_response(

@@ -372,18 +372,18 @@ def control_row_probabilities(a: float, b: float) -> tuple[float, float, float, 
 _MIN_WINDOW_WIDTH = 1e-9
 
 
-def _window_or_none(lo: float, hi: float) -> tuple[float, float] | None:
+def _shares(offset_deg: float) -> tuple[float, float]:
+    """(cos^2, sin^2) of ``offset_deg``: the shares of a pulse's intensity in a port
+    whose axis is that far from its polarization, and in the other port."""
+    return math.cos(math.radians(offset_deg)) ** 2, math.sin(math.radians(offset_deg)) ** 2
+
+
+def _window(lit: float, *dark: float) -> tuple[float, float] | None:
+    """The intensities [1/lit, min(1/d for d in dark if d > 0)) at which a port passing the
+    share ``lit`` clicks and ports passing the shares ``dark`` stay dark; None if too narrow."""
+    lo = 1.0 / lit
+    hi = min((1.0 / d for d in dark if d > 0.0), default=math.inf)
     return None if hi - lo <= _MIN_WINDOW_WIDTH else (lo, hi)
-
-
-def _ramp_window(phi_deg: float) -> tuple[float, float] | None:
-    c2 = math.cos(math.radians(phi_deg)) ** 2
-    s2 = math.sin(math.radians(phi_deg)) ** 2
-    if c2 == 0.0:
-        return None
-    lo = 1.0 / c2
-    hi = math.inf if s2 == 0.0 else 1.0 / s2
-    return _window_or_none(lo, hi)
 
 
 def feasible_intensity_window(
@@ -401,20 +401,12 @@ def feasible_intensity_window(
             raise ValidationError(f"{name} must lie in [0, 90], got {phi!r}")
     if row is ControlRow.VACUUM:
         return (0.0, math.inf)
-    if row is ControlRow.MIDPOINT_UP:
-        return _ramp_window(phi0_deg)
-    if row is ControlRow.MIDPOINT_DOWN:
-        return _ramp_window(phi1_deg)
-    # Plain aligned pulse: must click on match, must vanish in both ports
-    # on mismatch, where the offsets are 2*phi0 and 90 - 2*phi0.
-    c2 = math.cos(math.radians(2.0 * phi0_deg)) ** 2
-    s2 = math.sin(math.radians(2.0 * phi0_deg)) ** 2
-    hi = math.inf
-    if c2 > 0.0:
-        hi = min(hi, 1.0 / c2)
-    if s2 > 0.0:
-        hi = min(hi, 1.0 / s2)
-    return _window_or_none(1.0, hi)
+    if row is ControlRow.PLAIN_ALIGNED:
+        # Must click on match, must vanish in both ports on mismatch, where
+        # the offsets are 2*phi0 and 90 - 2*phi0.
+        return _window(1.0, *_shares(2.0 * phi0_deg))
+    # A bisector pulse sits phi from the analyzer axis it must click in.
+    return _window(*_shares(phi0_deg if row is ControlRow.MIDPOINT_UP else phi1_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +540,12 @@ def perfect_no_signalling_discrepancy(a: float, b: float, role_reversal: bool = 
 # ---------------------------------------------------------------------------
 
 
+def _rotation(deg: float) -> np.ndarray:
+    """The 2x2 rotation of the polarization plane by ``deg`` degrees."""
+    t = math.radians(deg)
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
 @dataclass(frozen=True)
 class TwoQubitState:
     """A normalized two-qubit polarization state (amplitude order HH, HV, VH, VV).
@@ -571,12 +569,7 @@ class TwoQubitState:
         for party, deg in (("alice", alice_deg), ("bob", bob_deg)):
             if not math.isfinite(deg):
                 raise ValidationError(f"{party} rotation must be finite, got {deg!r}")
-
-        def rot(deg: float) -> np.ndarray:
-            t = math.radians(deg)
-            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-
-        return TwoQubitState(np.kron(rot(alice_deg), rot(bob_deg)) @ self.amplitudes)
+        return TwoQubitState(np.kron(_rotation(alice_deg), _rotation(bob_deg)) @ self.amplitudes)
 
 
 def bell_phi_plus() -> TwoQubitState:
@@ -584,21 +577,12 @@ def bell_phi_plus() -> TwoQubitState:
     return TwoQubitState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
 
 
-def _basis_vectors(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    t = math.radians(theta_deg)
-    return (
-        np.array([math.cos(t), math.sin(t)]),
-        np.array([-math.sin(t), math.cos(t)]),
-    )
-
-
 def quantum_joint_probabilities(alpha: Angle, beta: Angle, state: TwoQubitState) -> np.ndarray:
     """2x2 joint outcome probabilities (rows: Alice +/-, columns: Bob +/-)."""
-    a_plus, a_minus = _basis_vectors(alpha.degrees)
-    b_plus, b_minus = _basis_vectors(beta.degrees)
     probs = np.empty((2, 2))
-    for i, va in enumerate((a_plus, a_minus)):
-        for j, vb in enumerate((b_plus, b_minus)):
+    # The rows of a transposed rotation are the analyzer's +/- polarization vectors.
+    for i, va in enumerate(_rotation(alpha.degrees).T):
+        for j, vb in enumerate(_rotation(beta.degrees).T):
             amp = np.kron(va, vb) @ state.amplitudes
             probs[i, j] = float(np.abs(amp) ** 2)
     return probs / probs.sum()

@@ -1,7 +1,23 @@
 """Closed-form oracles that only the tests need."""
 from __future__ import annotations
 
-from bellsim.core import ValidationError, check_unit_interval
+import math
+
+from bellsim.core import Angle, ValidationError, check_unit_interval
+
+
+def malus_split(incoming_pol: Angle, analyzer_angle: Angle, intensity: float) -> tuple[float, float]:
+    """Split an intensity between the analyzer's two output ports.
+
+    The scalar reference for :func:`bellsim.optics.pulse_response`.
+    Returns ``(transmitted, reflected)`` = ``(I cos^2 d, I sin^2 d)`` where
+    ``d`` is the angle between the incoming polarization and the analyzer
+    axis. The two parts sum back to the input (to float precision).
+    """
+    if not (math.isfinite(intensity) and intensity >= 0.0):
+        raise ValidationError(f"intensity must be finite and >= 0, got {intensity!r}")
+    delta = math.radians(incoming_pol.degrees - analyzer_angle.degrees)
+    return intensity * math.cos(delta) ** 2, intensity * math.sin(delta) ** 2
 
 
 def perfect_joint_distribution(

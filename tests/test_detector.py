@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,11 @@ class TestTwoThreshold:
         with pytest.raises(ValidationError):
             TwoThreshold(1.0, 1.0)
 
+    @pytest.mark.parametrize("i_never", [-0.1, math.nan, math.inf])
+    def test_i_never_must_be_finite_and_non_negative(self, i_never):
+        with pytest.raises(ValidationError, match="i_never must be finite"):
+            TwoThreshold(i_never, 2.0)
+
     def test_step_is_the_zero_width_limit(self):
         step = StepThreshold(1.0)
         for intensity in (0.5, 0.9, 0.999, 1.001, 1.5):
@@ -88,6 +95,8 @@ class TestEmpirical:
             [(0.1, 0.1), (0.1, 0.5)],           # duplicate energy
             [(0.1, -0.1), (0.2, 0.5)],          # probability out of range
             [(0.1, 0.5), (0.2, 1.5)],
+            [(0.1, 0.5), (math.inf, 1.0)],      # energy not finite
+            [(math.nan, 0.5), (0.2, 1.0)],
         ],
     )
     def test_malformed_curves_rejected(self, rows):
@@ -115,6 +124,10 @@ class TestMonotonicityAndBounds:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValidationError):
             click_probability(StepThreshold(1.0), -0.1)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValidationError, match="unknown detector model"):
+            click_probability("step", 1.0)
 
 
 class TestSampleClick:
@@ -165,6 +178,16 @@ class TestResponseCsv:
         path = self._write(tmp_path / "curve.csv",
                            "energy,click_probability\n0.1,zero\n0.2,1.0\n")
         with pytest.raises(MalformedCurve, match=":2"):
+            read_response_csv(path)
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "empty file"),
+        ("energy,click_probability\n0.1,0.0\n0.2\n", ":3: expected 2 columns, got 1"),
+        ("energy,click_probability\n0.1,0.0,0.5\n", ":2: expected 2 columns, got 3"),
+    ])
+    def test_malformed_file_reports_where(self, tmp_path, text, match):
+        path = self._write(tmp_path / "curve.csv", text)
+        with pytest.raises(MalformedCurve, match=match):
             read_response_csv(path)
 
     def test_non_monotone_rejected(self, tmp_path):

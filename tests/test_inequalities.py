@@ -5,7 +5,7 @@ import pytest
 
 from bellsim import correlation_from_counts, nsim_ndif_ratio
 from bellsim.core import ValidationError
-from bellsim.inequalities import AllZeroCoincidences, ChshCombination, SingularRatio, gm_bound
+from bellsim.inequalities import AllZeroCoincidences, SingularRatio, gm_bound
 
 SQRT2 = math.sqrt(2.0)
 
@@ -41,12 +41,6 @@ class TestCorrelationFromCounts:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             correlation_from_counts(-1, 0, 0, 5)
-
-
-class TestChshValue:
-    def test_components_validated(self):
-        with pytest.raises(ValidationError):
-            ChshCombination(1.5, 0, 0, 0)
 
 
 class TestGmBound:
@@ -86,6 +80,11 @@ class TestNsimNdifRatio:
     def test_singular_at_one(self):
         with pytest.raises(SingularRatio):
             nsim_ndif_ratio(1.0)
+
+    @pytest.mark.parametrize("e", [1.5, -1.5, math.nan])
+    def test_out_of_range_rejected(self, e):
+        with pytest.raises(ValidationError, match=r"e must lie in \[-1, 1\]"):
+            nsim_ndif_ratio(e)
 
     def test_round_trip_with_correlation(self):
         rng = np.random.default_rng(6)

@@ -11,9 +11,9 @@ from bellsim.optics import (
     OUT_INCONCLUSIVE,
     OUT_MINUS,
     OUT_PLUS,
-    malus_split,
     pulse_response,
 )
+from oracles import malus_split
 
 # cos^2(22.5 deg) = (2 + sqrt(2)) / 4, frozen from the half-angle identity.
 COS2_22P5 = (2.0 + math.sqrt(2.0)) / 4.0

@@ -293,6 +293,14 @@ class TestFeasibleWindows:
         lo, hi = feasible_intensity_window(ControlRow.VACUUM, 45.0, 45.0)
         assert lo == 0.0 and math.isinf(hi)
 
+    @pytest.mark.parametrize("phi0,phi1,name", [
+        (-1.0, 0.0, "phi0_deg"), (90.5, 0.0, "phi0_deg"),
+        (math.nan, 0.0, "phi0_deg"), (0.0, math.nan, "phi1_deg"),
+    ])
+    def test_half_angles_outside_0_to_90_rejected(self, phi0, phi1, name):
+        with pytest.raises(ValidationError, match=rf"{name} must lie in \[0, 90\]"):
+            feasible_intensity_window(ControlRow.VACUUM, phi0, phi1)
+
 
 class TestControlPulseFor:
     """Each control row's pulse as :func:`control_geometry` sends it (Alice, label 0)."""
