@@ -27,4 +27,4 @@ __all__ = [
     "bell_phi_plus", "perfect_no_signalling_discrepancy", "quantum_correlation",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Union
 
@@ -30,7 +29,6 @@ __all__ = [
     "DetectorModel",
     "click_probability",
     "read_response_csv",
-    "bundled_response_curve",
 ]
 
 
@@ -159,15 +157,3 @@ def read_response_csv(path: str | Path) -> Empirical:
     except UnicodeDecodeError as exc:
         raise MalformedCurve(f"{path}: not UTF-8 text ({exc})") from exc
     return Empirical(tuple(rows))
-
-
-def bundled_response_curve() -> Empirical:
-    """The synthetic example curve shipped with the package.
-
-    Shaped like a blinded avalanche-photodiode response: full-intensity
-    triggers always click and half-intensity triggers click with
-    probability 0.40. Synthetic data, not a device measurement.
-    """
-    ref = resources.files("bellsim.data").joinpath("synthetic_blinded_response.csv")
-    with resources.as_file(ref) as path:
-        return read_response_csv(path)

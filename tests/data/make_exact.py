@@ -31,7 +31,7 @@ import numpy as np
 
 from bellsim import cli
 from bellsim.core import DoubleClickPolicy, MeasurementSettings, SettingPair, ValidationError
-from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve
+from bellsim.detector import StepThreshold, TwoThreshold
 from bellsim.engine import chsh_statistics
 from bellsim.inequalities import AllZeroCoincidences
 from bellsim.strategies import (
@@ -49,6 +49,9 @@ HERE = Path(__file__).parent
 _spec = importlib.util.spec_from_file_location("make_golden", HERE / "make_golden.py")
 make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
+_spec = importlib.util.spec_from_file_location("oracles", HERE.parent / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 #: The statistics of a table, in the order each record lists them.
 FIELDS = [f"E{pair.alice}{pair.bob}" for pair in SettingPair] + [
@@ -66,7 +69,7 @@ DETECTORS = {
     "step1": StepThreshold(1.0),
     "step2": StepThreshold(2.0),
     "two_threshold": TwoThreshold(0.8, 1.2),
-    "bundled": bundled_response_curve(),
+    "bundled": oracles.synthetic_blinded_response(),
 }
 
 

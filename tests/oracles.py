@@ -1,9 +1,21 @@
-"""Closed-form oracles that only the tests need."""
+"""Closed-form oracles and the test curve, which only the tests need."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 from bellsim.core import Angle, ValidationError, check_unit_interval
+from bellsim.detector import Empirical, read_response_csv
+
+
+def synthetic_blinded_response() -> Empirical:
+    """The synthetic response curve in ``tests/data/synthetic_blinded_response.csv``.
+
+    Shaped like a blinded avalanche-photodiode response: full-intensity
+    triggers always click and half-intensity triggers click with
+    probability 0.40. Synthetic data, not a device measurement.
+    """
+    return read_response_csv(Path(__file__).parent / "data" / "synthetic_blinded_response.csv")
 
 
 def malus_split(incoming_pol: Angle, analyzer_angle: Angle, intensity: float) -> tuple[float, float]:

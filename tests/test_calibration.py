@@ -25,9 +25,11 @@ from bellsim import (
     run,
 )
 from bellsim.core import DoubleClickPolicy
-from bellsim.detector import StepThreshold, bundled_response_curve
+from bellsim.detector import StepThreshold
 from bellsim.engine import chsh_statistics
 from bellsim.strategies import joint_table
+
+from oracles import synthetic_blinded_response
 
 STANDARD = MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5)
 SEEDS = range(2000)
@@ -43,7 +45,7 @@ CONFIGS = {
     "improved": (ImprovedModelSpec.for_settings(0.2612, STANDARD), StepThreshold(), DoubleClickPolicy.DISCARD),
     "existing": (ExistingModelSpec(0.7), StepThreshold(), DoubleClickPolicy.DISCARD),
     "quantum": (QuantumSpec(bell_phi_plus(), 0.9), StepThreshold(), DoubleClickPolicy.DISCARD),
-    "existing/curve/randomize": (ExistingModelSpec(0.7), bundled_response_curve(), DoubleClickPolicy.RANDOMIZE),
+    "existing/curve/randomize": (ExistingModelSpec(0.7), synthetic_blinded_response(), DoubleClickPolicy.RANDOMIZE),
 }
 
 

@@ -10,11 +10,12 @@ from bellsim.detector import (
     MalformedCurve,
     StepThreshold,
     TwoThreshold,
-    bundled_response_curve,
     click_probability,
     read_response_csv,
 )
 from bellsim.optics import N_STATES, OUT_DOUBLE, OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS, pulse_response
+
+from oracles import synthetic_blinded_response
 
 HALF_INTENSITY_CLICK_PROB = 0.40  # synthetic curve pinned to this value
 
@@ -130,7 +131,7 @@ class TestMonotonicityAndBounds:
             click_probability("step", 1.0)
 
 
-class TestSampleClick:
+class TestClickRates:
     """The click probabilities the engine's counts are drawn from."""
 
     def test_certain_click(self):
@@ -199,14 +200,14 @@ class TestResponseCsv:
 
 class TestBundledCurve:
     def test_full_and_half_intensity_behavior(self):
-        model = bundled_response_curve()
+        model = synthetic_blinded_response()
         assert click_probability(model, 1.0) == 1.0
         assert click_probability(model, 0.5) == pytest.approx(HALF_INTENSITY_CLICK_PROB)
 
     def test_mismatch_gives_random_clicks_at_the_pinned_rate(self):
         # A basis-mismatched full-intensity pulse puts half the light on each
         # arm, so each detector fires independently with probability 0.40.
-        got = pulse_response(45.0, 1.0, 0.0, bundled_response_curve(), DoubleClickPolicy.FLAG)
+        got = pulse_response(45.0, 1.0, 0.0, synthetic_blinded_response(), DoubleClickPolicy.FLAG)
         p = HALF_INTENSITY_CLICK_PROB
         want = np.zeros(N_STATES)
         want[[OUT_PLUS, OUT_MINUS, OUT_INCONCLUSIVE, 4 + OUT_DOUBLE]] = (

@@ -22,10 +22,12 @@ from bellsim import (
     run,
 )
 from bellsim.core import Counts, DoubleClickPolicy, ValidationError, fold_doubles
-from bellsim.detector import StepThreshold, bundled_response_curve
+from bellsim.detector import StepThreshold
 import bellsim.engine
 from bellsim.engine import BATCH_SIZE, _batch_rng, chsh_statistics, no_signalling_from_tables
 from bellsim.inequalities import AllZeroCoincidences, correlation_from_counts
+
+from oracles import synthetic_blinded_response
 
 SQRT2 = math.sqrt(2.0)
 A_THRESHOLD = 12.0 * SQRT2 - 16.0
@@ -200,7 +202,7 @@ def noisy_config():
     # probability 0.40, so double clicks actually occur.
     return RunConfig(
         strategy=ExistingModelSpec(1.0 / SQRT2), settings=SETTINGS,
-        n_trials=120_000, seed=10, detector_model=bundled_response_curve(),
+        n_trials=120_000, seed=10, detector_model=synthetic_blinded_response(),
     )
 
 

@@ -27,9 +27,11 @@ from bellsim import (
     bell_phi_plus,
 )
 from bellsim.core import DoubleClickPolicy
-from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve
+from bellsim.detector import StepThreshold, TwoThreshold
 from bellsim.optics import N_STATES
 from bellsim.strategies import joint_table
+
+from oracles import synthetic_blinded_response
 
 STANDARD = MeasurementSettings.from_degrees(0.0, 45.0, 22.5, 67.5)
 
@@ -65,7 +67,7 @@ SPECS = {
     "perfect/analytic": PerfectModelSpec(*THRESHOLD_AB),
     "perfect/physical": PerfectModelSpec(*THRESHOLD_AB, mode=PerfectMode.PHYSICAL_PULSES),
 }
-DETECTORS = {"step": StepThreshold(), "two_threshold": TwoThreshold(0.8, 1.2), "curve": bundled_response_curve()}
+DETECTORS = {"step": StepThreshold(), "two_threshold": TwoThreshold(0.8, 1.2), "curve": synthetic_blinded_response()}
 
 
 @pytest.mark.parametrize("policy", DoubleClickPolicy, ids=lambda p: p.value)

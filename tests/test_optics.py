@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellsim.core import Angle, DoubleClickPolicy, ValidationError
-from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve, click_probability
+from bellsim.detector import StepThreshold, TwoThreshold, click_probability
 from bellsim.optics import (
     N_STATES,
     OUT_DOUBLE,
@@ -13,7 +13,7 @@ from bellsim.optics import (
     OUT_PLUS,
     pulse_response,
 )
-from oracles import malus_split
+from oracles import malus_split, synthetic_blinded_response
 
 # cos^2(22.5 deg) = (2 + sqrt(2)) / 4, frozen from the half-angle identity.
 COS2_22P5 = (2.0 + math.sqrt(2.0)) / 4.0
@@ -130,7 +130,7 @@ class TestAnalyze:
 
     def test_always_returns_single_outcome(self):
         intensity = np.random.default_rng(3).uniform(0, 4, size=1000)
-        for detector in (STEP, TwoThreshold(0.8, 1.2), bundled_response_curve()):
+        for detector in (STEP, TwoThreshold(0.8, 1.2), synthetic_blinded_response()):
             for policy in DoubleClickPolicy:
                 got = pulse_response(RANDOM_POL, intensity, RANDOM_BASIS, detector, policy)
                 assert got.shape == (1000, N_STATES)

@@ -34,7 +34,7 @@ from bellsim import (
 from bellsim import strategies
 from bellsim.analytic import existing_predict, perfect_predict
 from bellsim.core import DoubleClickPolicy, ValidationError
-from bellsim.detector import StepThreshold, TwoThreshold, bundled_response_curve
+from bellsim.detector import StepThreshold, TwoThreshold
 from bellsim.engine import RunConfig, chsh_statistics, run
 from bellsim.inequalities import AllZeroCoincidences
 from bellsim.optics import OUT_INCONCLUSIVE, OUT_MINUS, OUT_PLUS
@@ -44,7 +44,7 @@ from bellsim.strategies import (
     quantum_correlation,
     quantum_joint_probabilities,
 )
-from oracles import perfect_joint_distribution
+from oracles import perfect_joint_distribution, synthetic_blinded_response
 
 _spec = importlib.util.spec_from_file_location("make_exact", Path(__file__).parent / "data" / "make_exact.py")
 make_exact = importlib.util.module_from_spec(_spec)
@@ -190,7 +190,7 @@ def specs(draw, settings):
 detectors = st.one_of(
     st.builds(StepThreshold, st.floats(0.2, 3.0)),
     st.builds(lambda lo, width: TwoThreshold(lo, lo + width), st.floats(0.0, 2.0), st.floats(0.01, 2.0)),
-    st.just(bundled_response_curve()),
+    st.just(synthetic_blinded_response()),
 )
 
 
@@ -434,3 +434,27 @@ def test_analytic_parts_sum_to_a_local_model(a, b, role_reversal):
         pair = (certain[:, 0], by_label) if phase else (by_label, certain[:, 0])
         np.testing.assert_allclose(strategies._local_table(np.array([0.5, 0.5]), *pair), table[phase],
                                    rtol=0, atol=EXACT)
+
+
+ITEM_1_SETTINGS = MeasurementSettings.from_degrees(0.0, 45.0, 22.5, -22.5)
+STEP_SIZED_SPECS = {
+    "perfect-physical": PerfectModelSpec(
+        *ab_from_eta(2.0 * (math.sqrt(2.0) - 1.0))[:2], mode=PerfectMode.PHYSICAL_PULSES
+    ),
+    "existing": ExistingModelSpec(2.0 ** -0.5),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("name", list(STEP_SIZED_SPECS))
+def test_a_step_threshold_is_a_unit(name):
+    # A source that sizes its pulses for the configured detector gives the
+    # same table whatever unit the step's threshold is stated in. Today the
+    # pulses assume a threshold of 1: the physical perfect model falls to
+    # S 2.00 at eta 0.634, and existing gets no coincidences at all.
+    def statistics(threshold):
+        table = joint_table(STEP_SIZED_SPECS[name], ITEM_1_SETTINGS, StepThreshold(threshold))
+        stats = chsh_statistics(table.mean(axis=0))
+        return [*stats.correlations.values(), *stats[1:]]
+
+    assert statistics(2.0) == pytest.approx(statistics(1.0), abs=EXACT)
